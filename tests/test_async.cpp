@@ -329,6 +329,25 @@ TEST(AsyncOptimizer, DeterministicUnderStragglerFaults) {
   EXPECT_EQ(a.transient_failures, b.transient_failures);
   EXPECT_DOUBLE_EQ(a.wasted_seconds, b.wasted_seconds);
   EXPECT_DOUBLE_EQ(a.backoff_seconds, b.backoff_seconds);
+
+  // Pinned W=4 trajectory under faults: run-to-run determinism alone would
+  // let a step-loop change that moves the pipeline pass.
+  const std::vector<std::pair<std::size_t, Fidelity>> golden = {
+      {223, Fidelity::kImpl}, {20, Fidelity::kImpl},  {263, Fidelity::kImpl},
+      {3, Fidelity::kSyn},    {114, Fidelity::kSyn},  {270, Fidelity::kHls},
+      {187, Fidelity::kHls},  {127, Fidelity::kHls},  {61, Fidelity::kHls},
+      {18, Fidelity::kHls},   {244, Fidelity::kHls},  {8, Fidelity::kHls},
+      {280, Fidelity::kHls},  {6, Fidelity::kSyn},    {39, Fidelity::kHls},
+      {144, Fidelity::kSyn},  {1, Fidelity::kHls},    {29, Fidelity::kSyn},
+  };
+  ASSERT_EQ(a.cs.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(a.cs[i].config, golden[i].first) << "at index " << i;
+    EXPECT_EQ(a.cs[i].fidelity, golden[i].second) << "at index " << i;
+  }
+  EXPECT_DOUBLE_EQ(a.tool_seconds, 4185.3609293090931);
+  EXPECT_DOUBLE_EQ(a.wall_seconds, 1774.8999698042007);
+  EXPECT_EQ(a.attempts, 20);
 }
 
 TEST(AsyncOptimizer, BeatsTheRoundBarrierUnderStragglers) {

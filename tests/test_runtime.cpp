@@ -447,6 +447,30 @@ TEST(BatchedOptimizer, TrajectoryIndependentOfWorkerCount) {
   // More workers can only shrink the simulated wall-clock.
   EXPECT_GE(runs[0].wall_seconds, runs[1].wall_seconds);
   EXPECT_GE(runs[1].wall_seconds, runs[2].wall_seconds);
+
+  // Pinned multi-pick trajectory: the batch-4 Kriging-believer rounds are
+  // checked against fixed values, not only against themselves, so a change
+  // to the step loop that moves them cannot pass unnoticed.
+  const std::vector<std::pair<std::size_t, Fidelity>> golden = {
+      {233, Fidelity::kImpl}, {141, Fidelity::kImpl}, {262, Fidelity::kImpl},
+      {1, Fidelity::kSyn},    {25, Fidelity::kSyn},   {26, Fidelity::kHls},
+      {281, Fidelity::kHls},  {259, Fidelity::kHls},  {89, Fidelity::kHls},
+      {13, Fidelity::kHls},   {49, Fidelity::kHls},   {84, Fidelity::kHls},
+      {61, Fidelity::kHls},   {4, Fidelity::kHls},    {62, Fidelity::kHls},
+      {43, Fidelity::kHls},
+  };
+  ASSERT_EQ(runs[0].cs.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(runs[0].cs[i].config, golden[i].first) << "at index " << i;
+    EXPECT_EQ(runs[0].cs[i].fidelity, golden[i].second) << "at index " << i;
+  }
+  const double golden_wall[] = {2931.9510319863139, 901.93462184532086,
+                                901.93462184532086};
+  for (std::size_t w = 0; w < runs.size(); ++w) {
+    EXPECT_DOUBLE_EQ(runs[w].tool_seconds, 2931.9510319863148);
+    EXPECT_DOUBLE_EQ(runs[w].wall_seconds, golden_wall[w]);
+    EXPECT_EQ(runs[w].attempts, 16);
+  }
 }
 
 TEST(BatchedOptimizer, BatchingShrinksWallClockAtEqualChargedTime) {
