@@ -582,21 +582,11 @@ bool parseCheckpoint(const std::string& text, CheckpointState* out,
   return true;
 }
 
-bool saveCheckpoint(const std::string& path, const CheckpointState& st) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) return false;
-    const std::string text = serializeCheckpoint(st);
-    f.write(text.data(), static_cast<std::streamsize>(text.size()));
-    f.flush();
-    if (!f) return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
-}
+namespace {
 
-bool loadCheckpoint(const std::string& path, CheckpointState* out,
-                    std::string* error) {
+/// Reader for plain (pre-framing) single-JSON journals.
+bool loadPlainCheckpoint(const std::string& path, CheckpointState* out,
+                         std::string* error) {
   std::ifstream f(path, std::ios::binary);
   if (!f) {
     if (error) *error = "checkpoint: cannot open " + path;
@@ -606,8 +596,6 @@ bool loadCheckpoint(const std::string& path, CheckpointState* out,
   ss << f.rdbuf();
   return parseCheckpoint(ss.str(), out, error);
 }
-
-namespace {
 
 /// Rollback window: current frame plus up to this many predecessors. Two
 /// predecessors means a torn newest frame still leaves a one-round-old
@@ -639,7 +627,7 @@ bool saveCheckpointFramed(const std::string& path, const CheckpointState& st) {
 bool loadCheckpointAny(const std::string& path, CheckpointState* out,
                        std::string* error, JournalLoadInfo* info) {
   if (info) *info = JournalLoadInfo{};
-  if (!isFramedFile(path)) return loadCheckpoint(path, out, error);
+  if (!isFramedFile(path)) return loadPlainCheckpoint(path, out, error);
 
   if (info) info->framed = true;
   util::FramedReadResult r = util::readFrames(path);

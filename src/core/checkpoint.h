@@ -122,12 +122,6 @@ std::string serializeCheckpoint(const CheckpointState& st);
 bool parseCheckpoint(const std::string& text, CheckpointState* out,
                      std::string* error = nullptr);
 
-/// Atomic file I/O: save writes to `<path>.tmp` then renames, so a crash
-/// mid-write never corrupts the previous good journal.
-bool saveCheckpoint(const std::string& path, const CheckpointState& st);
-bool loadCheckpoint(const std::string& path, CheckpointState* out,
-                    std::string* error = nullptr);
-
 /// What a framed-journal load found and (when necessary) repaired.
 struct JournalLoadInfo {
   bool framed = false;       ///< file was in CMJ1 framed format
@@ -138,17 +132,17 @@ struct JournalLoadInfo {
   std::string note;             ///< human-readable recovery description
 };
 
-/// Framed journal variant: the file holds the last few checkpoints as
-/// CRC-32C frames (util/framed_log), rewritten atomically each round with a
-/// small rollback window (the current state plus up to two predecessors).
-/// Torn writes / external truncation are detected frame-by-frame on load;
-/// the corrupt tail is quarantined to `<path>.quarantine` and the load
-/// rolls back to the newest frame that both CRC-checks and parses. The
-/// server journals campaigns in this format.
+/// The journal writer: the file holds the last few checkpoints as CRC-32C
+/// frames (util/framed_log), rewritten atomically each round with a small
+/// rollback window (the current state plus up to two predecessors). Torn
+/// writes / external truncation are detected frame-by-frame on load; the
+/// corrupt tail is quarantined to `<path>.quarantine` and the load rolls
+/// back to the newest frame that both CRC-checks and parses.
 bool saveCheckpointFramed(const std::string& path, const CheckpointState& st);
 
 /// Load `path` in either format: CMJ1-framed (validated, self-repairing as
-/// described above) or plain JSON (the CLI's historical format). On framed
+/// described above) or one plain serializeCheckpoint() JSON document, the
+/// format journals were written in before every writer was framed. On framed
 /// corruption the quarantine + rollback happens here so every caller
 /// recovers identically; `info` (optional) reports what was done.
 bool loadCheckpointAny(const std::string& path, CheckpointState* out,

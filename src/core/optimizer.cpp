@@ -298,12 +298,14 @@ std::uint64_t CorrelatedMfMoboOptimizer::checkpointFingerprint() const {
 }
 
 CheckpointState CorrelatedMfMoboOptimizer::captureCheckpoint(
-    int next_round, int t, const runtime::ToolScheduler& scheduler,
-    const runtime::EvalCache& cache, const OptimizeResult& result) const {
+    int next_round) const {
+  const runtime::ToolScheduler& scheduler = *scheduler_;
+  const runtime::EvalCache& cache = *cache_;
+  const OptimizeResult& result = result_;
   CheckpointState st;
   st.fingerprint = checkpointFingerprint();
   st.next_round = next_round;
-  st.t = t;
+  st.t = t_;
   st.rng = rng_.state();
   for (int f = 0; f < kNumFidelities; ++f) {
     st.data[f].configs = data_[f].configs;
@@ -318,18 +320,12 @@ CheckpointState CorrelatedMfMoboOptimizer::captureCheckpoint(
                              it.config, it.peipv, it.round});
   st.picks_per_fidelity = result.picks_per_fidelity;
   st.totals = scheduler.totals();
-  // Async: the simulator's own accumulator already holds the charges of
-  // jobs that REALLY finished but are still in flight in simulated time
-  // (nextCompletion harvests everything before event-ordering); journaling
-  // it would double-charge after resume re-runs them. The scheduler's
-  // deterministic per-completion accumulator excludes exactly those jobs —
-  // and is bit-stable across thread interleavings.
-  st.sim_tool_seconds = opts_.async ? scheduler.deterministicToolSeconds()
-                                    : sim_->totalToolSeconds();
-  if (opts_.async)
-    for (const AsyncInflight& j : inflight_meta_)
-      st.async_inflight.push_back(
-          {j.config, static_cast<int>(j.fidelity), j.sim_start});
+  // Journaling the simulator's accumulator in async mode would double-charge
+  // the in-flight jobs a resume re-runs; see toolSeconds().
+  st.sim_tool_seconds = toolSeconds();
+  for (const AsyncInflight& j : inflight_meta_)
+    st.async_inflight.push_back(
+        {j.config, static_cast<int>(j.fidelity), j.sim_start});
   // Only this campaign's cache slice and counters enter the journal; under
   // a shared server cache other tenants' artifacts are not ours to persist.
   // In-flight configs must NOT journal their current cache state: their
@@ -385,9 +381,10 @@ CheckpointState CorrelatedMfMoboOptimizer::captureCheckpoint(
   return st;
 }
 
-void CorrelatedMfMoboOptimizer::restoreCheckpoint(
-    const CheckpointState& st, runtime::ToolScheduler& scheduler,
-    runtime::EvalCache& cache, OptimizeResult& result) {
+void CorrelatedMfMoboOptimizer::restoreCheckpoint(const CheckpointState& st) {
+  runtime::ToolScheduler& scheduler = *scheduler_;
+  runtime::EvalCache& cache = *cache_;
+  OptimizeResult& result = result_;
   if (st.fingerprint != checkpointFingerprint())
     throw std::runtime_error(
         "checkpoint: fingerprint mismatch — journal was written by a run "
@@ -433,7 +430,7 @@ void CorrelatedMfMoboOptimizer::restoreCheckpoint(
 
   scheduler.restoreTotals(st.totals);
   sim_->setAccounting(st.sim_tool_seconds);
-  if (opts_.async) scheduler.restoreDeterministicToolSeconds(st.sim_tool_seconds);
+  scheduler.restoreDeterministicToolSeconds(st.sim_tool_seconds);
   // Re-materialize the evaluation cache: reports are pure functions of
   // (config, stage), so the journal only stores the keys. Under a shared
   // cache the flows land in this campaign's namespace (a no-op for slots
@@ -459,30 +456,44 @@ void CorrelatedMfMoboOptimizer::restoreCheckpoint(
   // nothing above): re-dispatch the journaled in-flight believers at their
   // ORIGINAL simulated start times — possibly before the restored clock —
   // so the simulated completion order, and the whole trajectory, replays
-  // exactly. Their charges re-accrue as the re-runs complete.
-  if (opts_.async) {
-    inflight_meta_.clear();
-    for (const CheckpointState::InflightEntry& e : st.async_inflight) {
-      const runtime::EvalJob job{e.config, static_cast<Fidelity>(e.fidelity)};
-      const std::uint64_t seq = scheduler.submitAsyncAt(job, e.sim_start);
-      inflight_meta_.push_back(
-          {e.config, static_cast<Fidelity>(e.fidelity), e.sim_start, seq});
-    }
+  // exactly. Their charges re-accrue as the re-runs complete. Synchronous
+  // journals carry none.
+  inflight_meta_.clear();
+  for (const CheckpointState::InflightEntry& e : st.async_inflight) {
+    const runtime::EvalJob job{e.config, static_cast<Fidelity>(e.fidelity)};
+    const std::uint64_t seq = scheduler.submitAsyncAt(job, e.sim_start);
+    inflight_meta_.push_back(
+        {e.config, static_cast<Fidelity>(e.fidelity), e.sim_start, seq});
   }
 }
 
 void CorrelatedMfMoboOptimizer::writeCheckpoint(int next_round) {
   if (opts_.checkpoint_path.empty()) return;
-  const CheckpointState st =
-      captureCheckpoint(next_round, t_, *scheduler_, *cache_, result_);
-  if (opts_.framed_journal)
-    saveCheckpointFramed(opts_.checkpoint_path, st);
-  else
-    saveCheckpoint(opts_.checkpoint_path, st);
+  saveCheckpointFramed(opts_.checkpoint_path, captureCheckpoint(next_round));
+}
+
+double CorrelatedMfMoboOptimizer::toolSeconds() const {
+  // The scheduler's per-job accumulator, summed in job order on the driving
+  // thread. The simulator's own accumulator is summed in whatever order
+  // worker threads finish, so it differs in the last bits between runs of
+  // a batch; in the pipeline it also already holds the charges of jobs that
+  // REALLY finished but are still in flight in simulated time
+  // (nextCompletion harvests everything before event-ordering).
+  return scheduler_->deterministicToolSeconds();
+}
+
+double CorrelatedMfMoboOptimizer::topHypervolume(int round) const {
+  const FidelityData& top = data_[kNumFidelities - 1];
+  if (top.y.empty()) return std::numeric_limits<double>::quiet_NaN();
+  const std::vector<pareto::Point> pts(top.y.begin(), top.y.end());
+  obs::ScopedPhase hv_phase("hypervolume", round);
+  return pareto::hypervolume(pareto::paretoFilter(pts),
+                             pareto::referencePoint(pts));
 }
 
 RoundOutcome CorrelatedMfMoboOptimizer::makeOutcome(
-    int round, const std::vector<runtime::EvalResult>& results) {
+    int round, const std::vector<runtime::EvalResult>& results,
+    std::optional<double> hv) {
   RoundOutcome o;
   o.round = round;
   o.proposals = t_;
@@ -498,13 +509,7 @@ RoundOutcome CorrelatedMfMoboOptimizer::makeOutcome(
   o.cache_hits = cstats.hits;
   o.cache_misses = cstats.misses;
   if (shared_.collect_outcomes) {
-    const FidelityData& top = data_[kNumFidelities - 1];
-    if (!top.y.empty()) {
-      const std::vector<pareto::Point> pts(top.y.begin(), top.y.end());
-      obs::ScopedPhase hv_phase("hypervolume");
-      o.hypervolume = pareto::hypervolume(pareto::paretoFilter(pts),
-                                          pareto::referencePoint(pts));
-    }
+    o.hypervolume = hv ? *hv : topHypervolume(round);
     // Worker occupancy of this round's tool runs (cache hits occupy no
     // worker), in job order — the server's shared-farm placement input.
     o.job_seconds.reserve(results.size());
@@ -514,8 +519,7 @@ RoundOutcome CorrelatedMfMoboOptimizer::makeOutcome(
   }
   o.resume_note = resume_note_;
   // Drain the surrogate's self-healing ledger into this outcome and (when
-  // diagnosed) the flight recorder. Empty in the healthy regime, so the
-  // pinned goldens see identical outcomes with recovery enabled.
+  // diagnosed) the flight recorder.
   for (const RecoveryEvent& ev : surrogate_.drainRecoveryEvents()) {
     std::string note = ev.action + " (level " + std::to_string(ev.level) +
                        "): " + ev.reason;
@@ -531,13 +535,11 @@ bool CorrelatedMfMoboOptimizer::done() const {
   if (finished_) return true;
   if (!started_) return false;
   const bool budget_done = stopped_ || t_ >= opts_.n_iter;
-  // Async: the proposal budget being spent stops NEW proposals, but the
-  // pipeline drains the in-flight believers first (each is a completion
-  // event / checkpoint boundary of its own) — except on a max_rounds
-  // preemption, which mimics a kill and leaves them journaled.
-  if (opts_.async && !preempted_)
-    return budget_done && inflight_meta_.empty();
-  return budget_done;
+  // Spending the proposal budget stops NEW proposals; picks still in flight
+  // drain first (each is a step of its own) — except on a max_rounds
+  // preemption, which mimics a kill and leaves them journaled. Nothing is
+  // ever in flight between synchronous rounds.
+  return budget_done && (preempted_ || inflight_meta_.empty());
 }
 
 RoundOutcome CorrelatedMfMoboOptimizer::start() {
@@ -586,7 +588,7 @@ RoundOutcome CorrelatedMfMoboOptimizer::start() {
       loaded = false;
     }
     if (loaded) {
-      restoreCheckpoint(st, *scheduler_, *cache_, result_);
+      restoreCheckpoint(st);
       t_ = st.t;
       round_ = st.next_round;
       result_.resumed = true;
@@ -660,26 +662,9 @@ RoundOutcome CorrelatedMfMoboOptimizer::start() {
   return makeOutcome(result_.resumed ? round_ - 1 : -1, init_results);
 }
 
-RoundOutcome CorrelatedMfMoboOptimizer::stepRound() {
-  assert(started_ && !finished_);
-  if (opts_.async) return stepRoundAsync();
-  if (done()) return makeOutcome(round_ - 1, {});
-  const std::size_t n = space_->size();
-  const int batch = std::max(opts_.batch_size, 1);
-  const int round = round_;
-
-  // ---- One round of the optimization loop (lines 6-15), batched. ----
-  obs::ScopedPhase round_phase("round", round);
-  // Remaining pool.
-  std::vector<std::size_t> pool;
-  pool.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    if (!sampled_[i]) pool.push_back(i);
-  if (pool.empty()) {
-    stopped_ = true;  // space exhausted before the proposal budget
-    return makeOutcome(round - 1, {});
-  }
-
+void CorrelatedMfMoboOptimizer::refit(int round) {
+  // Commit the posterior on the REAL datasets. This also rolls back every
+  // stacked Kriging-believer fantasy (exact factor truncation).
   const bool hypers = round % std::max(opts_.refit_every, 1) == 0;
   const bool did_mle = hypers || !surrogate_.fitted();
   {
@@ -688,329 +673,152 @@ RoundOutcome CorrelatedMfMoboOptimizer::stepRound() {
       surrogate_.fit(buildObsFrom(data_), rng_, true);
     else
       // Between MLE refits the new observations enter via O(n^2)
-      // rank-append posterior updates; commit also rolls back any
-      // Kriging-believer speculation left from the previous round.
+      // rank-append posterior updates.
       surrogate_.appendObservations(buildObsFrom(data_), /*commit=*/true);
   }
-  const bool diag_on = diag::recorder().enabled();
-  diag_round_ = round;
-  if (diag_on) {
-    // Per-level surrogate state for the journal: learned K_task (Eq. 9),
-    // MLE convergence, Gram conditioning, lower-fidelity relevance. All
-    // read-only accessors — nothing feeds back into the run.
-    for (int l = 0; l < kNumFidelities; ++l) {
-      diag::ModelRecord mr;
-      mr.round = round;
-      mr.level = l;
-      mr.correlated = surrogate_.correlated();
-      if (mr.correlated) {
-        const linalg::Matrix c = surrogate_.taskCorrelation(l);
-        mr.task_corr.assign(c.rows(), std::vector<double>(c.cols(), 0.0));
-        for (std::size_t i = 0; i < c.rows(); ++i)
-          for (std::size_t j = 0; j < c.cols(); ++j)
-            mr.task_corr[i][j] = c(i, j);
-      }
-      mr.lml = surrogate_.logMarginalLikelihood(l);
-      mr.fit_iters = surrogate_.lastFitIterations(l);
-      // Budget is only meaningful on rounds that actually ran the MLE;
-      // 0 disables the non-convergence check on rank-append rounds.
-      mr.max_iters = did_mle ? surrogate_.mleIterBudget(l) : 0;
-      mr.cond_log10 = surrogate_.gramConditionLog10(l);
-      mr.lowfid_relevance = surrogate_.lowerFidelityRelevance(l);
-      diag::recorder().addModelRecord(std::move(mr));
+  if (!diag::recorder().enabled()) return;
+  // Per-level surrogate state for the journal: learned K_task (Eq. 9), MLE
+  // convergence, Gram conditioning, lower-fidelity relevance. All read-only
+  // accessors — nothing feeds back into the run.
+  for (int l = 0; l < kNumFidelities; ++l) {
+    diag::ModelRecord mr;
+    mr.round = round;
+    mr.level = l;
+    mr.correlated = surrogate_.correlated();
+    if (mr.correlated) {
+      const linalg::Matrix c = surrogate_.taskCorrelation(l);
+      mr.task_corr.assign(c.rows(), std::vector<double>(c.cols(), 0.0));
+      for (std::size_t i = 0; i < c.rows(); ++i)
+        for (std::size_t j = 0; j < c.cols(); ++j)
+          mr.task_corr[i][j] = c(i, j);
     }
+    mr.lml = surrogate_.logMarginalLikelihood(l);
+    mr.fit_iters = surrogate_.lastFitIterations(l);
+    // Budget is only meaningful on rounds that actually ran the MLE; 0
+    // disables the non-convergence check on rank-append rounds.
+    mr.max_iters = did_mle ? surrogate_.mleIterBudget(l) : 0;
+    mr.cond_log10 = surrogate_.gramConditionLog10(l);
+    mr.lowfid_relevance = surrogate_.lowerFidelityRelevance(l);
+    diag::recorder().addModelRecord(std::move(mr));
   }
-
-  // Candidate subset, shared across fidelities this round.
-  std::vector<std::size_t> cand = pool;
-  if (cand.size() > static_cast<std::size_t>(opts_.max_candidates)) {
-    rng_.shuffle(cand);
-    cand.resize(opts_.max_candidates);
-  }
-
-  const auto z = drawStdNormals(opts_.mc_samples, kNumObjectives, rng_);
-
-  // Greedy q-PEIPV batch via Kriging believer: argmax, condition the
-  // posterior on the predicted mean of the pick, re-argmax. With q = 1
-  // no fantasy step runs and this is exactly the paper's line 11.
-  //
-  // The first pick decides the round's fidelity (the Eq. 10 cost/value
-  // trade-off is a per-round investment decision); believer picks fill
-  // the rest of the batch with diverse configs at that same stage. A
-  // homogeneous round parallelizes cleanly on the farm — one impl job
-  // mixed into a batch of hls jobs would dominate the round's makespan.
-  const int q = std::min<int>({batch, opts_.n_iter - t_,
-                               static_cast<int>(cand.size())});
-  std::vector<char> taken(n, 0);
-  std::vector<runtime::EvalJob> jobs;
-  std::array<FidelityData, kNumFidelities> fantasy;
-  std::optional<obs::ScopedPhase> acq_phase;
-  acq_phase.emplace("acquisition", round);
-  for (int b = 0; b < q; ++b) {
-    obs::Span pick_span(obs::tracer().enabled() ? &obs::tracer() : nullptr,
-                        "acq_pick", "optimizer");
-    const bool prop_timed = obs::metrics().enabled();
-    const auto prop_start = prop_timed ? std::chrono::steady_clock::now()
-                                       : std::chrono::steady_clock::time_point{};
-    const int round_fidelity =
-        b == 0 ? -1 : static_cast<int>(jobs.front().fidelity);
-    std::vector<diag::FidelityAudit> audit;
-    const Pick pick = scanBest(b == 0 ? data_ : fantasy, cand, taken,
-                               stage_seconds_, z, round_fidelity,
-                               diag_on ? &audit : nullptr);
-    taken[pick.config] = 1;
-    jobs.push_back({pick.config, pick.fidelity});
-    ++result_.picks_per_fidelity[static_cast<int>(pick.fidelity)];
-    result_.iterations.push_back(
-        {t_ + b, pick.fidelity, pick.config, pick.peipv, round});
-    pick_span.round(round)
-        .fidelity(static_cast<int>(pick.fidelity))
-        .id(static_cast<std::int64_t>(pick.config))
-        .value(pick.peipv);
-    if (obs::metrics().enabled())
-      obs::metrics().observe(std::string("acq.peipv.") +
-                                 sim::fidelityName(pick.fidelity),
-                             pick.peipv);
-
-    if (diag_on) {
-      diag::DecisionRecord dr;
-      dr.round = round;
-      dr.winner_config = pick.config;
-      dr.winner_fidelity = static_cast<int>(pick.fidelity);
-      dr.winner_peipv = pick.peipv;
-      dr.believer_depth = b;
-      dr.rationale =
-          b == 0 ? "argmax cost-penalized EIPV across fidelities (Eq. 10)"
-                 : "Kriging-believer batch fill at the round fidelity";
-      dr.fidelities = std::move(audit);
-      diag::recorder().addDecision(std::move(dr));
-      // Predict-before-observe: snapshot the posterior at every stage the
-      // job will run, before its observation can enter the model. Extra
-      // predict() calls only — no RNG, no state change, so the trajectory
-      // is bit-identical with diagnostics off.
-      for (int f = 0; f <= static_cast<int>(pick.fidelity); ++f) {
-        const gp::MultiPosterior post =
-            surrogate_.predict(f, space_->features(pick.config));
-        PendingPrediction pp;
-        pp.mu = post.mean;
-        pp.var.resize(kNumObjectives);
-        for (int m = 0; m < kNumObjectives; ++m) pp.var[m] = post.cov(m, m);
-        pp.believer = b > 0;
-        pending_pred_[{pick.config, f}] = std::move(pp);
-      }
-    }
-
-    if (b + 1 < q) {
-      // Believe the model: append its predicted means at every stage the
-      // job will run, then refit the posterior (hyperparameters are not
-      // touched; the next round's fit on real data discards the fantasy).
-      if (b == 0) fantasy = data_;
-      for (int f = 0; f <= static_cast<int>(pick.fidelity); ++f) {
-        fantasy[f].configs.push_back(pick.config);
-        fantasy[f].y.push_back(
-            surrogate_.predict(f, space_->features(pick.config)).mean);
-      }
-      // Speculative (uncommitted) rank-appends: the next commit or full
-      // fit rolls the fantasy back by exact factor truncation.
-      surrogate_.appendObservations(buildObsFrom(fantasy), /*commit=*/false);
-    }
-    if (prop_timed)
-      obs::metrics().observe(
-          "slo.proposal_seconds",
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        prop_start)
-              .count());
-  }
-
-  acq_phase.reset();
-
-  std::vector<runtime::EvalResult> results;
-  {
-    obs::ScopedPhase eval_phase("evaluate", round);
-    results = scheduler_->runBatch(jobs);
-    for (const runtime::EvalResult& res : results) record(res);
-  }
-  t_ += q;
-  ++result_.rounds_run;
-
-  if (diag_on) {
-    // Convergence record: hypervolume of the current top-fidelity set,
-    // cumulative charged tool-seconds, cache counters; ADRS comes from
-    // the recorder's oracle (set by the harness) when available.
-    double hv = std::numeric_limits<double>::quiet_NaN();
-    const FidelityData& top_data = data_[kNumFidelities - 1];
-    if (!top_data.y.empty()) {
-      const std::vector<pareto::Point> pts(top_data.y.begin(),
-                                           top_data.y.end());
-      obs::ScopedPhase hv_phase("hypervolume", round);
-      hv = pareto::hypervolume(pareto::paretoFilter(pts),
-                               pareto::referencePoint(pts));
-    }
-    std::vector<std::size_t> selected;
-    selected.reserve(cs_.size());
-    for (const SampleRecord& rec : cs_) selected.push_back(rec.config);
-    const runtime::EvalCache::Stats cstats =
-        cache_->stats(scheduler_->cacheNamespace(), scheduler_->cacheLedger());
-    diag::recorder().endRound(round, hv, selected, sim_->totalToolSeconds(),
-                              cstats.hits, cstats.misses);
-    pending_pred_.clear();
-  }
-
-  // Diagnostics-only progression metrics: computed from already-recorded
-  // data when enabled, never read back by the algorithm.
-  if (obs::metrics().enabled()) {
-    obs::metrics().set("opt.round", static_cast<double>(round));
-    obs::metrics().set("opt.proposals", static_cast<double>(t_));
-    const FidelityData& top = data_[kNumFidelities - 1];
-    if (!top.y.empty()) {
-      const std::vector<pareto::Point> pts(top.y.begin(), top.y.end());
-      obs::ScopedPhase hv_phase("hypervolume", round);
-      obs::metrics().set(
-          "opt.hypervolume.impl",
-          pareto::hypervolume(pareto::paretoFilter(pts),
-                              pareto::referencePoint(pts)));
-    }
-  }
-
-  {
-    obs::ScopedPhase ckpt_phase("checkpoint", round);
-    writeCheckpoint(round + 1);
-  }
-  if (opts_.max_rounds > 0 && result_.rounds_run >= opts_.max_rounds)
-    stopped_ = true;  // preemption point; the journal resumes from here
-  if (opts_.max_charged_seconds > 0.0 &&
-      scheduler_->totals().charged_seconds >= opts_.max_charged_seconds)
-    stopped_ = true;  // tool-time budget exhausted
-  ++round_;
-  return makeOutcome(round, results);
 }
 
-RoundOutcome CorrelatedMfMoboOptimizer::stepRoundAsync() {
+RoundOutcome CorrelatedMfMoboOptimizer::stepRound() {
+  assert(started_ && !finished_);
   if (done()) return makeOutcome(round_ - 1, {});
   const std::size_t n = space_->size();
   const int round = round_;
   obs::ScopedPhase round_phase("round", round);
   const bool diag_on = diag::recorder().enabled();
   diag_round_ = round;
-  const int cap = std::max(opts_.n_workers, 1);
-  const auto inflight = [this] {
-    return static_cast<int>(inflight_meta_.size());
-  };
-  const auto isInFlight = [this](std::size_t config) {
-    for (const AsyncInflight& j : inflight_meta_)
-      if (j.config == config) return true;
-    return false;
+  const int inflight0 = static_cast<int>(inflight_meta_.size());
+  // Open pool: unsampled and not currently in flight.
+  const auto openPool = [&] {
+    std::vector<std::size_t> open;
+    open.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+      if (!sampled_[i] &&
+          std::none_of(inflight_meta_.begin(), inflight_meta_.end(),
+                       [i](const AsyncInflight& j) { return j.config == i; }))
+        open.push_back(i);
+    return open;
   };
 
-  // ---- Proposal phase: top the farm back up. ----
-  bool can_propose = !stopped_ && t_ + inflight() < opts_.n_iter &&
-                     inflight() < cap;
-  if (can_propose) {
-    // Space exhaustion check BEFORE any RNG is consumed, mirroring the
-    // synchronous early-out, so the two paths stay bit-identical at W=1.
-    bool any_open = false;
-    for (std::size_t i = 0; i < n && !any_open; ++i)
-      if (!sampled_[i] && !isInFlight(i)) any_open = true;
-    if (!any_open) {
-      if (inflight_meta_.empty()) {
-        stopped_ = true;  // space exhausted before the proposal budget
-        return makeOutcome(round - 1, {});
-      }
-      can_propose = false;  // drain what's flying, then stop
+  // ---- Width: how many proposals this step may dispatch. The round
+  // barrier fills one batch of batch_size picks from a single candidate
+  // draw (so at most max_candidates); the pipeline tops the farm back up to
+  // n_workers jobs in flight. ----
+  const int width =
+      opts_.async ? std::max(opts_.n_workers, 1)
+                  : std::min(std::max(opts_.batch_size, 1),
+                             opts_.max_candidates);
+  int q = stopped_ ? 0 : std::min(width, opts_.n_iter - t_) - inflight0;
+  std::vector<std::size_t> cand;
+  if (q > 0) {
+    // Space exhaustion check BEFORE any RNG is consumed.
+    cand = openPool();
+    if (cand.empty() && inflight0 == 0) {
+      stopped_ = true;  // space exhausted before the proposal budget
+      return makeOutcome(round - 1, {});
     }
+    // Each pick takes one open config; with none left open the step only
+    // drains what is in flight.
+    q = std::min(q, static_cast<int>(cand.size()));
   }
 
-  if (can_propose) {
-    // Commit the posterior on the REAL datasets. This rolls back every
-    // stacked believer fantasy (the invalidation half of the protocol);
-    // fresh fantasies are re-derived from the committed posterior below,
-    // so a landed result immediately re-informs the in-flight believers.
-    const bool hypers = round % std::max(opts_.refit_every, 1) == 0;
-    const bool did_mle = hypers || !surrogate_.fitted();
-    {
-      obs::ScopedPhase fit_phase("gp_fit", round);
-      if (did_mle)
-        surrogate_.fit(buildObsFrom(data_), rng_, true);
-      else
-        surrogate_.appendObservations(buildObsFrom(data_), /*commit=*/true);
-    }
-    believer_invalidations_ += inflight();
-    if (diag_on) {
-      for (int l = 0; l < kNumFidelities; ++l) {
-        diag::ModelRecord mr;
-        mr.round = round;
-        mr.level = l;
-        mr.correlated = surrogate_.correlated();
-        if (mr.correlated) {
-          const linalg::Matrix c = surrogate_.taskCorrelation(l);
-          mr.task_corr.assign(c.rows(), std::vector<double>(c.cols(), 0.0));
-          for (std::size_t i = 0; i < c.rows(); ++i)
-            for (std::size_t j = 0; j < c.cols(); ++j)
-              mr.task_corr[i][j] = c(i, j);
-        }
-        mr.lml = surrogate_.logMarginalLikelihood(l);
-        mr.fit_iters = surrogate_.lastFitIterations(l);
-        mr.max_iters = did_mle ? surrogate_.mleIterBudget(l) : 0;
-        mr.cond_log10 = surrogate_.gramConditionLog10(l);
-        mr.lowfid_relevance = surrogate_.lowerFidelityRelevance(l);
-        diag::recorder().addModelRecord(std::move(mr));
-      }
-    }
+  // ---- Propose (Algorithm 2 line 11, q times): greedy Kriging believer.
+  // Argmax, condition the posterior on the predicted mean of every pick not
+  // yet observed, re-argmax. With q = 1 and nothing in flight no fantasy is
+  // stacked and this is exactly the paper's sequential loop. ----
+  std::vector<runtime::EvalJob> jobs;
+  if (q > 0) {
+    refit(round);
+    believer_invalidations_ += inflight0;
 
-    // Re-derive believer fantasies for everything still in flight, in
-    // dispatch order, each predicted on the posterior INCLUDING the
-    // previously stacked fantasies (the greedy Kriging-believer chain).
     std::array<FidelityData, kNumFidelities> fantasy;
     bool have_fantasy = false;
-    if (!inflight_meta_.empty()) {
-      obs::ScopedPhase believe_phase("believers", round);
-      fantasy = data_;
+    const auto believe = [&](std::size_t config, Fidelity fid) {
+      if (!have_fantasy) fantasy = data_;
       have_fantasy = true;
-      for (const AsyncInflight& j : inflight_meta_) {
-        for (int f = 0; f <= static_cast<int>(j.fidelity); ++f) {
-          fantasy[f].configs.push_back(j.config);
-          fantasy[f].y.push_back(
-              surrogate_.predict(f, space_->features(j.config)).mean);
-        }
-        surrogate_.appendObservations(buildObsFrom(fantasy),
-                                      /*commit=*/false);
+      for (int f = 0; f <= static_cast<int>(fid); ++f) {
+        fantasy[f].configs.push_back(config);
+        fantasy[f].y.push_back(
+            surrogate_.predict(f, space_->features(config)).mean);
       }
+      // Speculative (uncommitted) rank-appends: the next commit or full
+      // fit rolls the fantasy back by exact factor truncation.
+      surrogate_.appendObservations(buildObsFrom(fantasy), /*commit=*/false);
+    };
+    // Re-derive believer fantasies for everything still in flight, in
+    // dispatch order, each predicted on the posterior INCLUDING the
+    // previously stacked ones, so a landed result immediately re-informs
+    // the in-flight believers. Always empty under the round barrier.
+    if (inflight0 > 0) {
+      obs::ScopedPhase believe_phase("believers", round);
+      for (const AsyncInflight& j : inflight_meta_)
+        believe(j.config, j.fidelity);
     }
 
     obs::ScopedPhase acq_phase("acquisition", round);
-    const std::vector<char> no_taken(n, 0);
-    while (!stopped_ && inflight() < cap &&
-           t_ + inflight() < opts_.n_iter) {
-      // Open pool: unsampled and not currently in flight. Rebuilt per
-      // proposal because each dispatch shrinks it.
-      std::vector<std::size_t> cand;
-      cand.reserve(n);
-      for (std::size_t i = 0; i < n; ++i)
-        if (!sampled_[i] && !isInFlight(i)) cand.push_back(i);
-      if (cand.empty()) break;  // in-flight jobs hold the rest of the space
-      if (cand.size() > static_cast<std::size_t>(opts_.max_candidates)) {
-        rng_.shuffle(cand);
-        cand.resize(opts_.max_candidates);
+    std::vector<char> taken(n, 0);
+    std::vector<std::vector<double>> z;
+    for (int b = 0; b < q; ++b) {
+      // Candidate subset and MC normals: drawn once per round under the
+      // barrier; once per pick in the pipeline, where each dispatch shrinks
+      // the open pool.
+      if (b == 0 || opts_.async) {
+        if (b > 0) cand = openPool();
+        if (cand.size() > static_cast<std::size_t>(opts_.max_candidates)) {
+          rng_.shuffle(cand);
+          cand.resize(opts_.max_candidates);
+        }
+        z = drawStdNormals(opts_.mc_samples, kNumObjectives, rng_);
       }
-      const auto z = drawStdNormals(opts_.mc_samples, kNumObjectives, rng_);
-
       obs::Span pick_span(obs::tracer().enabled() ? &obs::tracer() : nullptr,
                           "acq_pick", "optimizer");
       const bool prop_timed = obs::metrics().enabled();
-      const auto prop_start =
-          prop_timed ? std::chrono::steady_clock::now()
-                     : std::chrono::steady_clock::time_point{};
+      const auto prop_start = prop_timed
+                                  ? std::chrono::steady_clock::now()
+                                  : std::chrono::steady_clock::time_point{};
+      if (b > 0) believe(jobs.back().config, jobs.back().fidelity);
+      const int depth = inflight0 + b;  // picks not yet observed
+      // The first pick of a round decides its fidelity (the Eq. 10
+      // cost/value trade-off); believer picks fill the batch at that stage,
+      // so a round's jobs have comparable cost. The pipeline re-decides the
+      // fidelity on every pick — heterogeneous fidelities in flight is the
+      // point of dropping the barrier.
+      const int lock = opts_.async || b == 0
+                           ? -1
+                           : static_cast<int>(jobs.front().fidelity);
       std::vector<diag::FidelityAudit> audit;
-      // Every pick re-decides the fidelity (Eq. 10) against the believer-
-      // augmented posterior — heterogeneous fidelities in flight is the
-      // whole point of killing the round barrier.
-      const Pick pick =
-          scanBest(have_fantasy ? fantasy : data_, cand, no_taken,
-                   stage_seconds_, z, -1, diag_on ? &audit : nullptr);
-      const int iter_index = t_ + inflight();
+      const Pick pick = scanBest(have_fantasy ? fantasy : data_, cand, taken,
+                                 stage_seconds_, z, lock,
+                                 diag_on ? &audit : nullptr);
+      taken[pick.config] = 1;
+      jobs.push_back({pick.config, pick.fidelity});
       ++result_.picks_per_fidelity[static_cast<int>(pick.fidelity)];
       result_.iterations.push_back(
-          {iter_index, pick.fidelity, pick.config, pick.peipv, round});
+          {t_ + depth, pick.fidelity, pick.config, pick.peipv, round});
       pick_span.round(round)
           .fidelity(static_cast<int>(pick.fidelity))
           .id(static_cast<std::int64_t>(pick.config))
@@ -1025,15 +833,20 @@ RoundOutcome CorrelatedMfMoboOptimizer::stepRoundAsync() {
         dr.winner_config = pick.config;
         dr.winner_fidelity = static_cast<int>(pick.fidelity);
         dr.winner_peipv = pick.peipv;
-        dr.believer_depth = inflight();
+        dr.believer_depth = depth;
         dr.believer_invalidations = believer_invalidations_;
         dr.rationale =
-            have_fantasy
+            lock >= 0 ? "Kriging-believer batch fill at the round fidelity"
+            : depth > 0
                 ? "async argmax cost-penalized EIPV conditioned on " +
-                      std::to_string(inflight()) + " in-flight believer(s)"
+                      std::to_string(depth) + " in-flight believer(s)"
                 : "argmax cost-penalized EIPV across fidelities (Eq. 10)";
         dr.fidelities = std::move(audit);
         diag::recorder().addDecision(std::move(dr));
+        // Predict-before-observe: snapshot the posterior at every stage the
+        // job will run, before its observation can enter the model. Extra
+        // predict() calls only — no RNG, no state change, so the trajectory
+        // is bit-identical with diagnostics off.
         for (int f = 0; f <= static_cast<int>(pick.fidelity); ++f) {
           const gp::MultiPosterior post =
               surrogate_.predict(f, space_->features(pick.config));
@@ -1041,31 +854,15 @@ RoundOutcome CorrelatedMfMoboOptimizer::stepRoundAsync() {
           pp.mu = post.mean;
           pp.var.resize(kNumObjectives);
           for (int m = 0; m < kNumObjectives; ++m) pp.var[m] = post.cov(m, m);
-          pp.believer = have_fantasy;
+          pp.believer = depth > 0;
           pending_pred_[{pick.config, f}] = std::move(pp);
         }
       }
-
-      const double sim_start = scheduler_->simNow();
-      const std::uint64_t seq =
-          scheduler_->submitAsync({pick.config, pick.fidelity});
-      inflight_meta_.push_back({pick.config, pick.fidelity, sim_start, seq});
-
-      // Stack this pick's own fantasy only if another proposal follows in
-      // this step — at W=1 the loop exits here, so the sequential path
-      // never speculates and stays bit-identical to Algorithm 2.
-      if (inflight() < cap && t_ + inflight() < opts_.n_iter) {
-        if (!have_fantasy) {
-          fantasy = data_;
-          have_fantasy = true;
-        }
-        for (int f = 0; f <= static_cast<int>(pick.fidelity); ++f) {
-          fantasy[f].configs.push_back(pick.config);
-          fantasy[f].y.push_back(
-              surrogate_.predict(f, space_->features(pick.config)).mean);
-        }
-        surrogate_.appendObservations(buildObsFrom(fantasy),
-                                      /*commit=*/false);
+      // Dispatch: the pipeline starts each pick the moment it is chosen.
+      if (opts_.async) {
+        const double sim_start = scheduler_->simNow();
+        const std::uint64_t seq = scheduler_->submitAsync(jobs.back());
+        inflight_meta_.push_back({pick.config, pick.fidelity, sim_start, seq});
       }
       if (prop_timed)
         obs::metrics().observe(
@@ -1076,50 +873,50 @@ RoundOutcome CorrelatedMfMoboOptimizer::stepRoundAsync() {
     }
   }
 
-  if (inflight_meta_.empty()) return makeOutcome(round - 1, {});
-
-  // ---- Completion event: the earliest in-flight job (simulated time). ----
-  runtime::ToolScheduler::AsyncCompletion ev;
+  // ---- Harvest (line 13): the whole batch at the barrier, or the earliest
+  // in-flight completion in simulated time. ----
+  std::vector<runtime::EvalResult> results;
   {
     obs::ScopedPhase eval_phase("evaluate", round);
-    ev = scheduler_->nextCompletion();
-    for (auto it = inflight_meta_.begin(); it != inflight_meta_.end(); ++it)
-      if (it->seq == ev.seq) {
-        inflight_meta_.erase(it);
-        break;
-      }
-    record(ev.result);
-    // Predictions for still-in-flight jobs must survive this boundary (the
-    // synchronous path clears the whole map per round instead); drop only
-    // the consumed config's entries.
-    for (int f = 0; f < kNumFidelities; ++f)
-      pending_pred_.erase({ev.result.job.config, f});
+    if (opts_.async) {
+      assert(!inflight_meta_.empty());
+      const runtime::ToolScheduler::AsyncCompletion ev =
+          scheduler_->nextCompletion();
+      std::erase_if(inflight_meta_, [&ev](const AsyncInflight& j) {
+        return j.seq == ev.seq;
+      });
+      results.push_back(ev.result);
+    } else {
+      results = scheduler_->runBatch(jobs);
+    }
+    for (const runtime::EvalResult& res : results) record(res);
   }
-  t_ += 1;
+  t_ += static_cast<int>(results.size());
+  // Predictions for still-in-flight jobs survive this boundary; drop only
+  // the consumed configs' entries.
+  for (const runtime::EvalResult& res : results)
+    for (int f = 0; f < kNumFidelities; ++f)
+      pending_pred_.erase({res.job.config, f});
   ++result_.rounds_run;
 
+  // ---- Close the step: diagnostics, checkpoint, stop conditions. ----
+  std::optional<double> hv;
+  if (diag_on || obs::metrics().enabled() || shared_.collect_outcomes)
+    hv = topHypervolume(round);
   if (diag_on) {
-    double hv = std::numeric_limits<double>::quiet_NaN();
-    const FidelityData& top_data = data_[kNumFidelities - 1];
-    if (!top_data.y.empty()) {
-      const std::vector<pareto::Point> pts(top_data.y.begin(),
-                                           top_data.y.end());
-      obs::ScopedPhase hv_phase("hypervolume", round);
-      hv = pareto::hypervolume(pareto::paretoFilter(pts),
-                               pareto::referencePoint(pts));
-    }
+    // Convergence record: hypervolume of the current top-fidelity set,
+    // cumulative charged tool-seconds, cache counters; ADRS comes from the
+    // recorder's oracle (set by the harness) when available.
     std::vector<std::size_t> selected;
     selected.reserve(cs_.size());
     for (const SampleRecord& rec : cs_) selected.push_back(rec.config);
     const runtime::EvalCache::Stats cstats =
         cache_->stats(scheduler_->cacheNamespace(), scheduler_->cacheLedger());
-    // Deterministic accumulator, not the simulator's (worker threads may
-    // still be charging in-flight attempts while this record is cut).
-    diag::recorder().endRound(round, hv, selected,
-                              scheduler_->deterministicToolSeconds(),
+    diag::recorder().endRound(round, *hv, selected, toolSeconds(),
                               cstats.hits, cstats.misses);
   }
-
+  // Diagnostics-only progression metrics: computed from already-recorded
+  // data when enabled, never read back by the algorithm.
   if (obs::metrics().enabled()) {
     obs::metrics().set("opt.round", static_cast<double>(round));
     obs::metrics().set("opt.proposals", static_cast<double>(t_));
@@ -1127,15 +924,8 @@ RoundOutcome CorrelatedMfMoboOptimizer::stepRoundAsync() {
                        static_cast<double>(inflight_meta_.size()));
     obs::metrics().set("opt.believer_invalidations",
                        static_cast<double>(believer_invalidations_));
-    const FidelityData& top = data_[kNumFidelities - 1];
-    if (!top.y.empty()) {
-      const std::vector<pareto::Point> pts(top.y.begin(), top.y.end());
-      obs::ScopedPhase hv_phase("hypervolume", round);
-      obs::metrics().set(
-          "opt.hypervolume.impl",
-          pareto::hypervolume(pareto::paretoFilter(pts),
-                              pareto::referencePoint(pts)));
-    }
+    if (!data_[kNumFidelities - 1].y.empty())
+      obs::metrics().set("opt.hypervolume.impl", *hv);
   }
 
   {
@@ -1143,29 +933,24 @@ RoundOutcome CorrelatedMfMoboOptimizer::stepRoundAsync() {
     writeCheckpoint(round + 1);
   }
   if (opts_.max_rounds > 0 && result_.rounds_run >= opts_.max_rounds) {
-    // Preemption mimics a kill: stop WITHOUT draining, leaving the
-    // in-flight believers journaled for the resume to re-dispatch.
+    // Preemption point; the journal resumes from here. Like a kill, it
+    // stops WITHOUT draining: in-flight believers stay journaled for the
+    // resume to re-dispatch.
     stopped_ = true;
     preempted_ = true;
   }
   if (opts_.max_charged_seconds > 0.0 &&
       scheduler_->totals().charged_seconds >= opts_.max_charged_seconds)
-    stopped_ = true;  // tool-time budget exhausted; the pipeline drains
+    stopped_ = true;  // tool-time budget exhausted; in-flight jobs drain
   ++round_;
-  return makeOutcome(round, {ev.result});
+  return makeOutcome(round, results, hv);
 }
 
 OptimizeResult CorrelatedMfMoboOptimizer::finish() {
   assert(started_ && !finished_);
   finished_ = true;
   result_.cs = cs_;
-  // Async: the deterministic per-completion accumulator — bit-stable under
-  // thread interleaving and consistent with what the journal carries (a
-  // preempted run's unprocessed in-flight charges are excluded on both
-  // sides). Bitwise equal to the simulator's accumulator in the healthy
-  // sequential regime.
-  result_.tool_seconds = opts_.async ? scheduler_->deterministicToolSeconds()
-                                     : sim_->totalToolSeconds();
+  result_.tool_seconds = toolSeconds();
   const runtime::SchedulerStats totals = scheduler_->totals();
   result_.wall_seconds = totals.wall_seconds;
   result_.tool_runs = totals.tool_runs;

@@ -4,6 +4,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -106,10 +107,6 @@ struct OptimizerOptions {
   double max_charged_seconds = 0.0;
 
   // ---- Durability & self-healing (the server's crash-only regime). ----
-  /// Write the journal as a CRC-32C framed multi-frame log (the current
-  /// state plus a small rollback window) instead of one plain JSON file.
-  /// Loads accept either format; torn tails are detected and quarantined.
-  bool framed_journal = false;
   /// Resume survivability: a corrupt, truncated, empty, or
   /// fingerprint-mismatched journal is quarantined and the run starts cold
   /// with a RoundOutcome::resume_note, instead of throwing. The daemon sets
@@ -118,10 +115,12 @@ struct OptimizerOptions {
   /// error).
   bool resume_lenient = false;
   /// Numerical self-healing thresholds (surrogate fallback, forced dense
-  /// refits, jitter escalation reporting). Enabled with loose-by-default
-  /// thresholds: healthy trajectories (the pinned seed-77 goldens) never
-  /// trip them, so recovery is bit-neutral until a run is genuinely
-  /// pathological.
+  /// refits, jitter escalation reporting). The surrogate fallback trips
+  /// after RecoveryOptions::mle_fail_streak consecutive "non-converged" MLE
+  /// fits, where non-converged means every multistart hit its iteration
+  /// cap. That is routine, not pathological: at default settings the GBRT
+  /// fallback engages by round 2 on all six paper benchmarks and changes
+  /// their trajectories.
   RecoveryOptions recovery;
 };
 
@@ -261,14 +260,17 @@ class CorrelatedMfMoboOptimizer {
   /// initialization round, and write checkpoint 0. Must be called exactly
   /// once, before the first stepRound().
   RoundOutcome start();
-  /// One BO round: fit/append the surrogate, propose the q-PEIPV batch,
-  /// execute it, record, checkpoint. Requires start(); no-op when done().
-  /// In async mode one "round" is one COMPLETION EVENT instead: commit the
-  /// posterior, refresh believer fantasies for in-flight jobs, top the farm
-  /// up with fresh argmax-PEIPV proposals, then process the earliest
-  /// simulated completion — record, checkpoint (in-flight believers
-  /// journaled), account. The server's FairScheduler therefore charges
-  /// async campaigns per completion, not per barrier'd batch.
+  /// One step of Algorithm 2's loop. Requires start(); no-op when done().
+  /// Both modes run the same body: refit the surrogate (rolling back every
+  /// believer fantasy), re-stack fantasies for jobs still in flight, propose
+  /// argmax-PEIPV picks with a Kriging-believer fantasy per pick not yet
+  /// observed, harvest results, record, checkpoint. Only the dispatch policy
+  /// differs. Under the round barrier (sync) a step proposes one
+  /// fidelity-homogeneous batch of up to batch_size picks and waits for all
+  /// of them. In async mode a step tops the farm up to n_workers jobs in
+  /// flight and harvests only the earliest simulated COMPLETION, so the
+  /// server's FairScheduler charges async campaigns per completion, not per
+  /// batch.
   RoundOutcome stepRound();
   /// True once the proposal budget is spent, the space is exhausted, or
   /// OptimizerOptions::max_rounds stopped this process.
@@ -312,13 +314,8 @@ class CorrelatedMfMoboOptimizer {
   /// exact (options, seed, space, fault model); resuming against anything
   /// else throws.
   std::uint64_t checkpointFingerprint() const;
-  CheckpointState captureCheckpoint(int next_round, int t,
-                                    const runtime::ToolScheduler& scheduler,
-                                    const runtime::EvalCache& cache,
-                                    const OptimizeResult& result) const;
-  void restoreCheckpoint(const CheckpointState& st,
-                         runtime::ToolScheduler& scheduler,
-                         runtime::EvalCache& cache, OptimizeResult& result);
+  CheckpointState captureCheckpoint(int next_round) const;
+  void restoreCheckpoint(const CheckpointState& st);
   /// Penalized objective vector for an invalid report at a fidelity.
   gp::Vec penalizedObjectives(const FidelityData& data) const;
   std::vector<FidelityObs> buildObsFrom(
@@ -338,16 +335,26 @@ class CorrelatedMfMoboOptimizer {
                 int only_fidelity = -1,
                 std::vector<diag::FidelityAudit>* audit = nullptr) const;
 
-  /// One completion event of the asynchronous pipeline (see stepRound).
-  RoundOutcome stepRoundAsync();
+  /// Refit (MLE) or rank-append the surrogate on the real datasets, rolling
+  /// back any believer fantasy, and emit the flight recorder's per-level
+  /// model records.
+  void refit(int round);
+  /// Cumulative charged tool-seconds as journaled and reported: the
+  /// scheduler's per-job accumulator, bit-stable across thread
+  /// interleavings.
+  double toolSeconds() const;
+  /// Hypervolume of the top-fidelity observation set (NaN while empty).
+  double topHypervolume(int round) const;
 
-  /// Write the journal for a resume at `next_round` (no-op without a
+  /// Write the framed journal for a resume at `next_round` (no-op without a
   /// checkpoint path).
   void writeCheckpoint(int next_round);
   /// Assemble the post-round snapshot (ledgers, cache counters, optional
-  /// hypervolume + per-job seconds from `results`).
+  /// hypervolume + per-job seconds from `results`). `hv` passes in a
+  /// hypervolume the step already computed.
   RoundOutcome makeOutcome(int round,
-                           const std::vector<runtime::EvalResult>& results);
+                           const std::vector<runtime::EvalResult>& results,
+                           std::optional<double> hv = std::nullopt);
 
   const hls::DesignSpace* space_;
   sim::FpgaToolSim* sim_;
@@ -389,7 +396,8 @@ class CorrelatedMfMoboOptimizer {
   std::map<std::pair<std::size_t, int>, PendingPrediction> pending_pred_;
   int diag_round_ = -1;  ///< current BO round; -1 outside the round loop
 
-  // ---- Async pipeline state (unused when opts_.async is false). ----
+  // ---- Jobs in flight across steps (always empty under the round barrier,
+  // which harvests every pick in the step that proposed it). ----
   /// One dispatched-but-unprocessed proposal: the believer observation it
   /// contributes is re-derived from the committed posterior at every step
   /// (invalidate-and-refresh), so only the job identity and its simulated
@@ -404,9 +412,8 @@ class CorrelatedMfMoboOptimizer {
   /// Cumulative believer observations rolled back by posterior commits
   /// (every real result invalidates ALL stacked fantasies; diagnostics).
   long long believer_invalidations_ = 0;
-  /// max_rounds preemption in async mode stops WITHOUT draining: in-flight
-  /// believers stay journaled, exactly like a kill, so done() must not wait
-  /// for them.
+  /// max_rounds preemption stops WITHOUT draining: in-flight believers stay
+  /// journaled, exactly like a kill, so done() must not wait for them.
   bool preempted_ = false;
 };
 

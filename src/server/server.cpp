@@ -412,10 +412,9 @@ bool OptimizationServer::submit(const CampaignSpec& spec, std::string* err,
   CampaignSpec s = spec;
   if (!opts_.journal_dir.empty())
     s.opts.checkpoint_path = journalPath(s.id, ".ckpt.json");
-  // Daemon journaling policy: CRC-framed checkpoints with rollback frames,
-  // and lenient resume — a torn or missing journal quarantines/cold-starts
-  // the one campaign instead of refusing the whole daemon start.
-  s.opts.framed_journal = opts_.framed_journal;
+  // Daemon resume policy: lenient — a torn or missing journal
+  // quarantines/cold-starts the one campaign instead of refusing the whole
+  // daemon start.
   s.opts.resume_lenient = true;
 
   std::shared_ptr<const hls::DesignSpace> space;

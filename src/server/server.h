@@ -40,9 +40,6 @@ struct ServerOptions {
   std::size_t cache_capacity = 0;
 
   // ---- Supervision & robustness (see docs/robustness.md). ----
-  /// CRC-framed multi-generation checkpoint journals (torn-tail detection
-  /// + one-round rollback on resume). Plain single-JSON journals otherwise.
-  bool framed_journal = true;
   /// Failed steps re-queue the campaign (rebuilt from its last good
   /// checkpoint) up to this many times before it parks in kFailed
   /// permanently; 0 disables restarts (first failure is final).

@@ -223,8 +223,12 @@ TEST(ChaosCheckpoint, CorruptTailRollsBackToPreviousGeneration) {
   EXPECT_FALSE(info.rolled_back);
   EXPECT_EQ(got.next_round, 2);
 
-  // Plain single-JSON journals (the CLI's historical format) still load.
-  ASSERT_TRUE(core::saveCheckpoint(path, st));
+  // Plain single-JSON journals (written before every writer was framed)
+  // still load.
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f << core::serializeCheckpoint(st);
+  }
   ASSERT_TRUE(core::loadCheckpointAny(path, &got, nullptr, &info));
   EXPECT_FALSE(info.framed);
   EXPECT_EQ(got.next_round, 3);

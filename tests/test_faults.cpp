@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -436,10 +437,16 @@ TEST(Checkpoint, SaveLoadIsAtomicAndRoundTrips) {
   core::CheckpointState st;
   st.fingerprint = 99;
   st.t = 5;
-  ASSERT_TRUE(core::saveCheckpoint(path, st));
+  // A plain single-JSON journal, as written before every writer was framed.
+  {
+    std::ofstream f(path, std::ios::binary);
+    f << core::serializeCheckpoint(st);
+  }
   core::CheckpointState back;
   std::string err;
-  ASSERT_TRUE(core::loadCheckpoint(path, &back, &err)) << err;
+  core::JournalLoadInfo info;
+  ASSERT_TRUE(core::loadCheckpointAny(path, &back, &err, &info)) << err;
+  EXPECT_FALSE(info.framed);
   EXPECT_EQ(back.fingerprint, 99u);
   EXPECT_EQ(back.t, 5);
   std::remove(path.c_str());

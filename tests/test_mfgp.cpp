@@ -4,7 +4,6 @@
 #include <numbers>
 
 #include "gp/ard_kernels.h"
-#include "gp/linear_mf_gp.h"
 #include "gp/nonlinear_mf_gp.h"
 #include "rng/rng.h"
 
@@ -129,74 +128,6 @@ TEST(NonlinearMfGp, VariancePropagationInflatesUncertainty) {
   const double va = a.predictHighest({0.93}).var;
   const double vb = b.predictHighest({0.93}).var;
   EXPECT_GE(va, vb * 0.999);
-}
-
-TEST(LinearMfGp, RecoversLinearScale) {
-  rng::Rng rng(5);
-  // f_hi = 3 f_lo + 1: exactly the AR(1) family.
-  std::vector<FidelityData> data(2);
-  for (int i = 0; i < 25; ++i) {
-    const double x = i / 24.0;
-    data[0].x.push_back({x});
-    data[0].y.push_back(std::sin(5.0 * x));
-  }
-  for (int i = 0; i < 9; ++i) {
-    const double x = i / 8.0;
-    data[1].x.push_back({x});
-    data[1].y.push_back(3.0 * std::sin(5.0 * x) + 1.0);
-  }
-  LinearMfGp gp(1, 2);
-  gp.fit(data, rng);
-  double se = 0.0;
-  int n = 0;
-  for (double x = 0.05; x < 1.0; x += 0.1, ++n) {
-    const double e = gp.predictHighest({x}).mean - (3.0 * std::sin(5.0 * x) + 1.0);
-    se += e * e;
-  }
-  EXPECT_LT(std::sqrt(se / n), 0.25);
-}
-
-TEST(LinearMfGp, NonlinearMapDefeatsLinearModel) {
-  // On the NARGP pair, the non-linear model should beat the linear one —
-  // this is exactly the paper's argument for Eq. (5) over FPL18.
-  rng::Rng rng1(6), rng2(6);
-  std::vector<FidelityData> data(2);
-  const auto nd = nargpData(41, 15);
-  data[0] = nd[0];
-  data[1] = nd[1];
-
-  LinearMfGp lin(1, 2);
-  lin.fit(data, rng1);
-  NonlinearMfGp nonlin(1, 2, fastNargp());
-  nonlin.fit(data, rng2);
-
-  auto rmse = [&](auto& model) {
-    double se = 0.0;
-    int n = 0;
-    for (double x = 0.025; x < 1.0; x += 0.05, ++n) {
-      const double e = model.predictHighest({x}).mean - fHi(x);
-      se += e * e;
-    }
-    return std::sqrt(se / n);
-  };
-  EXPECT_LT(rmse(nonlin), rmse(lin));
-}
-
-TEST(LinearMfGp, PredictLowestLevelIsPlainGp) {
-  rng::Rng rng(7);
-  std::vector<FidelityData> data(2);
-  for (int i = 0; i < 12; ++i) {
-    const double x = i / 11.0;
-    data[0].x.push_back({x});
-    data[0].y.push_back(x * x);
-    if (i % 2 == 0) {
-      data[1].x.push_back({x});
-      data[1].y.push_back(x * x);
-    }
-  }
-  LinearMfGp gp(1, 2);
-  gp.fit(data, rng);
-  EXPECT_NEAR(gp.predict(0, {0.5}).mean, 0.25, 0.05);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include "opt/finite_diff.h"
 #include "opt/lbfgs.h"
 #include "opt/multistart.h"
-#include "opt/nelder_mead.h"
 
 namespace cmmfo::opt {
 namespace {
@@ -82,35 +81,6 @@ TEST(Adam, StepperMovesAgainstGradient) {
   std::vector<double> p = {0.0};
   stepper.step(p, {1.0});
   EXPECT_LT(p[0], 0.0);
-}
-
-TEST(NelderMead, SolvesQuadraticWithoutGradients) {
-  ObjectiveFn f = [](const std::vector<double>& x) {
-    std::vector<double> g;
-    return quadratic(x, g);
-  };
-  NelderMeadOptions opts;
-  opts.max_iters = 2000;
-  const auto res = minimizeNelderMead(f, {0.0, 0.0, 0.0}, opts);
-  EXPECT_NEAR(res.x[0], 1.0, 1e-3);
-  EXPECT_NEAR(res.x[1], -2.0, 1e-3);
-  EXPECT_NEAR(res.x[2], 3.0, 1e-3);
-}
-
-TEST(NelderMead, HandlesNonFiniteRegions) {
-  ObjectiveFn f = [](const std::vector<double>& x) {
-    if (x[0] < 0.0) return std::numeric_limits<double>::quiet_NaN();
-    return (x[0] - 2.0) * (x[0] - 2.0);
-  };
-  const auto res = minimizeNelderMead(f, {1.0});
-  EXPECT_NEAR(res.x[0], 2.0, 1e-3);
-}
-
-TEST(NelderMead, ZeroDimensional) {
-  const auto res = minimizeNelderMead(
-      [](const std::vector<double>&) { return 42.0; }, {});
-  EXPECT_TRUE(res.converged);
-  EXPECT_DOUBLE_EQ(res.value, 42.0);
 }
 
 TEST(FiniteDiff, MatchesAnalyticGradient) {

@@ -59,7 +59,6 @@ void usage() {
       "  --step-deadline S     watchdog stall deadline in seconds\n"
       "  --heartbeat S         heartbeat event period in seconds\n"
       "  --idle-timeout S      reap idle TCP connections after S seconds\n"
-      "  --plain-journal       unframed single-JSON checkpoints (compat)\n"
       "  --chaos-seed N        deterministic fault-injection seed\n"
       "  --chaos-fault-prob P  per-step synthetic fault probability\n"
       "  --chaos-hang-prob P   per-step synthetic hang probability\n"
@@ -119,7 +118,6 @@ int main(int argc, char** argv) {
       opts.heartbeat_seconds = std::atof(next("--heartbeat"));
     else if (a == "--idle-timeout")
       opts.idle_timeout_seconds = std::atof(next("--idle-timeout"));
-    else if (a == "--plain-journal") opts.framed_journal = false;
     else if (a == "--chaos-seed")
       opts.chaos.seed =
           static_cast<std::uint64_t>(std::atoll(next("--chaos-seed")));
