@@ -299,9 +299,6 @@ std::uint64_t CorrelatedMfMoboOptimizer::checkpointFingerprint() const {
 
 CheckpointState CorrelatedMfMoboOptimizer::captureCheckpoint(
     int next_round) const {
-  const runtime::ToolScheduler& scheduler = *scheduler_;
-  const runtime::EvalCache& cache = *cache_;
-  const OptimizeResult& result = result_;
   CheckpointState st;
   st.fingerprint = checkpointFingerprint();
   st.next_round = next_round;
@@ -314,12 +311,12 @@ CheckpointState CorrelatedMfMoboOptimizer::captureCheckpoint(
   st.cs.reserve(cs_.size());
   for (const SampleRecord& rec : cs_)
     st.cs.push_back({rec.config, static_cast<int>(rec.fidelity), rec.report});
-  st.iterations.reserve(result.iterations.size());
-  for (const IterationLog& it : result.iterations)
+  st.iterations.reserve(result_.iterations.size());
+  for (const IterationLog& it : result_.iterations)
     st.iterations.push_back({it.iteration, static_cast<int>(it.fidelity),
                              it.config, it.peipv, it.round});
-  st.picks_per_fidelity = result.picks_per_fidelity;
-  st.totals = scheduler.totals();
+  st.picks_per_fidelity = result_.picks_per_fidelity;
+  st.totals = scheduler_->totals();
   // Journaling the simulator's accumulator in async mode would double-charge
   // the in-flight jobs a resume re-runs; see toolSeconds().
   st.sim_tool_seconds = toolSeconds();
@@ -337,8 +334,8 @@ CheckpointState CorrelatedMfMoboOptimizer::captureCheckpoint(
   // prefix was in the cache before the dispatch (the original run's job
   // only paid for the stages above it), so journal the config at its
   // committed CS fidelity instead of dropping it outright.
-  const std::uint64_t ns = scheduler.cacheNamespace();
-  for (const auto& [config, fid] : cache.contents(ns)) {
+  const std::uint64_t ns = scheduler_->cacheNamespace();
+  for (const auto& [config, fid] : cache_->contents(ns)) {
     bool in_flight = false;
     for (const AsyncInflight& j : inflight_meta_)
       if (j.config == config) {
@@ -356,7 +353,7 @@ CheckpointState CorrelatedMfMoboOptimizer::captureCheckpoint(
       }
   }
   const runtime::EvalCache::Stats cstats =
-      cache.stats(ns, scheduler.cacheLedger());
+      cache_->stats(ns, scheduler_->cacheLedger());
   st.cache_hits = cstats.hits;
   st.cache_misses = cstats.misses;
   st.surrogate_hypers = surrogate_.hyperState();
@@ -382,9 +379,6 @@ CheckpointState CorrelatedMfMoboOptimizer::captureCheckpoint(
 }
 
 void CorrelatedMfMoboOptimizer::restoreCheckpoint(const CheckpointState& st) {
-  runtime::ToolScheduler& scheduler = *scheduler_;
-  runtime::EvalCache& cache = *cache_;
-  OptimizeResult& result = result_;
   if (st.fingerprint != checkpointFingerprint())
     throw std::runtime_error(
         "checkpoint: fingerprint mismatch — journal was written by a run "
@@ -421,32 +415,32 @@ void CorrelatedMfMoboOptimizer::restoreCheckpoint(const CheckpointState& st) {
     surrogate_.restoreRecoveryState(rs, buildObsFrom(data_));
   }
 
-  result.iterations.clear();
+  result_.iterations.clear();
   for (const CheckpointState::IterEntry& it : st.iterations)
-    result.iterations.push_back({it.iteration,
-                                 static_cast<Fidelity>(it.fidelity), it.config,
-                                 it.peipv, it.round});
-  result.picks_per_fidelity = st.picks_per_fidelity;
+    result_.iterations.push_back({it.iteration,
+                                  static_cast<Fidelity>(it.fidelity),
+                                  it.config, it.peipv, it.round});
+  result_.picks_per_fidelity = st.picks_per_fidelity;
 
-  scheduler.restoreTotals(st.totals);
+  scheduler_->restoreTotals(st.totals);
   sim_->setAccounting(st.sim_tool_seconds);
-  scheduler.restoreDeterministicToolSeconds(st.sim_tool_seconds);
+  scheduler_->restoreDeterministicToolSeconds(st.sim_tool_seconds);
   // Re-materialize the evaluation cache: reports are pure functions of
   // (config, stage), so the journal only stores the keys. Under a shared
   // cache the flows land in this campaign's namespace (a no-op for slots
   // another tenant already warmed — the tool is deterministic).
-  const std::uint64_t ns = scheduler.cacheNamespace();
+  const std::uint64_t ns = scheduler_->cacheNamespace();
   for (const auto& [config, fid] : st.cache) {
     std::array<sim::Report, kNumFidelities> stages{};
     const hls::DirectiveConfig cfg = space_->config(config);
     for (int f = 0; f <= fid; ++f)
       stages[f] = sim_->run(cfg, static_cast<Fidelity>(f));
-    cache.storeFlow(config, static_cast<Fidelity>(fid), stages, ns);
+    cache_->storeFlow(config, static_cast<Fidelity>(fid), stages, ns);
   }
   // Counters land on this campaign's ledger only — a co-tenant sharing the
   // artifact namespace keeps its own hit/miss accounting untouched.
-  cache.restoreCounters(st.cache_hits, st.cache_misses,
-                        scheduler.cacheLedger());
+  cache_->restoreCounters(st.cache_hits, st.cache_misses,
+                          scheduler_->cacheLedger());
   if (obs::metrics().enabled() && !st.metrics.empty())
     obs::metrics().restore(st.metrics);
   if (st.has_diag && diag::recorder().enabled())
@@ -461,7 +455,7 @@ void CorrelatedMfMoboOptimizer::restoreCheckpoint(const CheckpointState& st) {
   inflight_meta_.clear();
   for (const CheckpointState::InflightEntry& e : st.async_inflight) {
     const runtime::EvalJob job{e.config, static_cast<Fidelity>(e.fidelity)};
-    const std::uint64_t seq = scheduler.submitAsyncAt(job, e.sim_start);
+    const std::uint64_t seq = scheduler_->submitAsyncAt(job, e.sim_start);
     inflight_meta_.push_back(
         {e.config, static_cast<Fidelity>(e.fidelity), e.sim_start, seq});
   }

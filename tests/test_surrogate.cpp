@@ -156,10 +156,12 @@ TEST(Surrogate, NonlinearBeatsSingleFidelityWithScarceTopData) {
 TEST(Surrogate, NonlinearMapDefeatsLinearModel) {
   // The classic NARGP pair (Perdikaris et al. 2017): the high fidelity is a
   // NON-LINEAR transform of the low one, f_hi = (x - sqrt 2) f_lo^2, which
-  // the AR(1) chain FPL18 runs cannot capture. The paper's Eq. (5) model
-  // must beat it on the surrogate the optimizer runs: this is the paper's
-  // argument for Eq. (5) over FPL18. Objective 1 mirrors objective 0.
-  const auto fLo = [](double x) { return std::sin(8.0 * std::numbers::pi * x); };
+  // the AR(1) chain FPL18 runs cannot capture. The paper's argument for
+  // Eq. (5) over FPL18 must hold on the surrogate the optimizer runs.
+  // Objective 1 mirrors objective 0.
+  const auto fLo = [](double x) {
+    return std::sin(8.0 * std::numbers::pi * x);
+  };
   const auto fHi = [&](double x) {
     return (x - std::sqrt(2.0)) * fLo(x) * fLo(x);
   };
