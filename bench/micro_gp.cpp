@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks for the GP stack: Gram construction,
-// Cholesky, single-output MLE fit, multi-task fit and prediction, the
-// incremental posterior paths (rank-append vs dense refit, batched vs
-// scalar prediction), and the MC-EIPV acquisition — the per-iteration cost
-// drivers of Algorithm 2.
+// Cholesky, single-output MLE fit, multi-task fit, MLE objective and
+// prediction, the incremental posterior paths (rank-append vs dense refit,
+// batched vs scalar prediction), and the MC-EIPV acquisition — the
+// per-iteration cost drivers of Algorithm 2.
 //
 // With CMMFO_PERF_GATE set (non-empty, not "0") the binary skips the
 // google-benchmark harness and runs a hard perf-regression gate instead:
@@ -90,7 +90,32 @@ void BM_MultiTaskFit(benchmark::State& state) {
     benchmark::DoNotOptimize(gp.predict(x[0]));
   }
 }
-BENCHMARK(BM_MultiTaskFit)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MultiTaskFit)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(48)
+    ->Unit(benchmark::kMillisecond);
+
+// One MLE objective + gradient evaluation of the Eq. (9) ICM model at the
+// paper's size (d = 15 directive features, M = 3 objectives): the unit of
+// work every multistart L-BFGS iteration pays.
+void BM_MultiTaskNegLml(benchmark::State& state) {
+  const std::size_t n = state.range(0);
+  const Dataset x = randomPoints(n, 15, 16);
+  rng::Rng rng(16);
+  linalg::Matrix y(n, 3);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t m = 0; m < 3; ++m) y(i, m) = rng.normal();
+  MultiTaskGp gp(Matern52Ard(15, true), 3);
+  gp.refitPosterior(x, y);
+  const Vec packed = gp.packedParams();
+  Vec grad;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gp.evalNegLogMarginalLikelihood(packed, &grad));
+    benchmark::DoNotOptimize(grad.data());
+  }
+}
+BENCHMARK(BM_MultiTaskNegLml)->Arg(48)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 void BM_MultiTaskPredict(benchmark::State& state) {
   const std::size_t n = state.range(0);

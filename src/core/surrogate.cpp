@@ -659,15 +659,16 @@ long long MultiFidelitySurrogate::lastFitIterations(std::size_t level) const {
 }
 
 long long MultiFidelitySurrogate::mleIterBudget(std::size_t level) const {
-  // The MLE multi-start list is: current parameters, two data-informed
-  // initializations, and mle_restarts random perturbations — so the total
-  // L-BFGS budget is max_mle_iters * (mle_restarts + 3) per model.
+  // Every multistart L-BFGS run is capped at max_mle_iters, so the budget is
+  // that cap times the starts the last fit actually ran (the independent
+  // models run one more ladder start than the multi-task model).
   if (level >= levels_) return 0;
   if (opts_.obj == ObjModelKind::kCorrelated)
     return static_cast<long long>(opts_.mtgp.max_mle_iters) *
-           (opts_.mtgp.mle_restarts + 3);
-  return static_cast<long long>(opts_.gp.max_mle_iters) *
-         (opts_.gp.mle_restarts + 3) * static_cast<long long>(m_);
+           mt_models_[level].lastFitStarts();
+  long long starts = 0;
+  for (const auto& model : ind_models_[level]) starts += model.lastFitStarts();
+  return static_cast<long long>(opts_.gp.max_mle_iters) * starts;
 }
 
 double MultiFidelitySurrogate::gramConditionLog10(std::size_t level) const {

@@ -129,8 +129,9 @@ class MultiFidelitySurrogate {
   /// L-BFGS iterations spent by the last MLE at a level (summed over
   /// objectives for the independent variant).
   long long lastFitIterations(std::size_t level) const;
-  /// Per-fit iteration budget at a level: max_mle_iters * (restarts + 1),
-  /// times M for the independent variant (matching lastFitIterations).
+  /// Per-fit iteration budget at a level: max_mle_iters times the
+  /// multistart runs of the last fit, summed over the M models of the
+  /// independent variant (matching lastFitIterations).
   long long mleIterBudget(std::size_t level) const;
   /// log10 condition estimate of the fitted Gram at a level (max over
   /// objectives for the independent variant). NaN before the first fit.

@@ -120,6 +120,55 @@ linalg::Matrix ArdKernelBase::gramGrad(const Dataset& x, std::size_t p) const {
   return g;
 }
 
+Vec ArdKernelBase::gramGradTraces(const Dataset& x,
+                                  const linalg::Matrix& w) const {
+  const std::size_t n = x.size();
+  const double sf2 = signalVariance();
+  // Per pair, the factors gramGrad computes: G = sf^2 shape'(r2), shared by
+  // every lengthscale, and the kernel value K for the signal variance. Both
+  // are mirrored exactly as gramGrad mirrors its entries.
+  const std::size_t nv = unit_variance_ ? 0 : n;
+  linalg::Matrix g(n, n), kv(nv, nv);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i; j < n; ++j) {
+      const double r2 = scaledSqDist(x[i], x[j]);
+      g(i, j) = g(j, i) = sf2 * shapeGradR2(r2);
+      if (!unit_variance_) kv(i, j) = kv(j, i) = sf2 * shape(r2);
+    }
+  // Column-major copy of the inputs so each lengthscale sweep reads one
+  // contiguous coordinate array.
+  std::vector<double> xt(dim_ * n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t d = 0; d < dim_; ++d) xt[d * n + i] = x[i][d];
+
+  Vec t(numParams(), 0.0);
+  for (std::size_t d = 0; d < dim_; ++d) {
+    // Same entry expression as gramGrad: G * (-2 sd), sd = diff^2 / l_d^2
+    // (diff's sign flips across the diagonal; its square does not).
+    const double inv_l2 = std::exp(-2.0 * log_ls_[d]);
+    const double* xd = xt.data() + d * n;
+    double tr = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* gi = g.rowPtr(i);
+      const double* wi = w.rowPtr(i);
+      const double xi = xd[i];
+      for (std::size_t j = 0; j < n; ++j) {
+        const double diff = xi - xd[j];
+        const double sd = diff * diff * inv_l2;
+        tr += wi[j] * (gi[j] * (-2.0 * sd));
+      }
+    }
+    t[d] = tr;
+  }
+  if (!unit_variance_) {
+    double tr = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) tr += w(i, j) * (2.0 * kv(i, j));
+    t[dim_] = tr;
+  }
+  return t;
+}
+
 double RbfArd::shape(double r2) const { return std::exp(-0.5 * r2); }
 
 double RbfArd::shapeGradR2(double r2) const { return -0.5 * std::exp(-0.5 * r2); }

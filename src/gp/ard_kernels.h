@@ -27,6 +27,10 @@ class ArdKernelBase : public Kernel {
 
   double eval(const Vec& x, const Vec& y) const override;
   linalg::Matrix gramGrad(const Dataset& x, std::size_t p) const override;
+  /// One pass over the pairs evaluates sf^2 shape'(r2) (and, with a free
+  /// signal variance, the kernel value); each lengthscale then costs one
+  /// O(n^2) sweep instead of a full gramGrad re-deriving every distance.
+  Vec gramGradTraces(const Dataset& x, const linalg::Matrix& w) const override;
   /// Median-distance heuristic: per-dimension lengthscale = median of the
   /// non-zero pairwise |x_d - y_d| (subsampled), floored at 1e-3.
   void initFromData(const Dataset& x) override;

@@ -8,7 +8,7 @@
 #include <stdexcept>
 
 #include "linalg/vec_ops.h"
-#include "opt/lbfgs.h"
+#include "opt/multistart.h"
 
 namespace cmmfo::gp {
 
@@ -28,6 +28,7 @@ GpRegressor::GpRegressor(const GpRegressor& o)
       opts_(o.opts_),
       log_noise_(o.log_noise_),
       last_fit_iters_(o.last_fit_iters_),
+      last_fit_starts_(o.last_fit_starts_),
       x_(o.x_),
       y_raw_(o.y_raw_),
       state_(o.state_) {}
@@ -38,6 +39,7 @@ GpRegressor& GpRegressor::operator=(const GpRegressor& o) {
   opts_ = o.opts_;
   log_noise_ = o.log_noise_;
   last_fit_iters_ = o.last_fit_iters_;
+  last_fit_starts_ = o.last_fit_starts_;
   x_ = o.x_;
   y_raw_ = o.y_raw_;
   state_ = o.state_;
@@ -70,9 +72,15 @@ double GpRegressor::negLml(const Vec& packed, Vec& grad) const {
       opts_.optimize_noise ? clampLogNoise(packed[nk], opts_) : log_noise_;
   const double noise_var = std::exp(2.0 * log_noise);
 
-  linalg::Matrix gram = k->gram(x_);
-  for (std::size_t i = 0; i < n; ++i) gram(i, i) += noise_var;
-  auto chol = linalg::Cholesky::factorizeWithJitter(gram);
+  std::optional<linalg::Cholesky> chol;
+  {
+    // Scoped so the Gram is released once factorized: with the factor
+    // dropped after the inverse, at most two n^2 buffers are live per
+    // concurrent multistart.
+    linalg::Matrix gram = k->gram(x_);
+    for (std::size_t i = 0; i < n; ++i) gram(i, i) += noise_var;
+    chol = linalg::Cholesky::factorizeWithJitter(gram);
+  }
   if (!chol) return std::numeric_limits<double>::infinity();
 
   const Vec alpha = chol->solve(state_.y_std);
@@ -80,22 +88,20 @@ double GpRegressor::negLml(const Vec& packed, Vec& grad) const {
   const double nll = data_fit + 0.5 * chol->logDet() +
                      0.5 * static_cast<double>(n) * std::log(2.0 * std::numbers::pi);
 
-  // dNLL/dtheta = -1/2 tr((alpha alpha^T - K^{-1}) dK/dtheta).
-  const linalg::Matrix kinv = chol->inverse();
-  auto traceTerm = [&](const linalg::Matrix& dk) {
-    double tr = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j)
-        tr += (alpha[i] * alpha[j] - kinv(i, j)) * dk(i, j);
-    return -0.5 * tr;
-  };
-  for (std::size_t p = 0; p < nk; ++p)
-    grad[p] = traceTerm(k->gramGrad(x_, p));
+  // dNLL/dtheta = -1/2 tr(W dK/dtheta), W = alpha alpha^T - K^{-1} built in
+  // place over the inverse.
+  linalg::Matrix w = chol->inverse();
+  chol.reset();
+  for (std::size_t i = 0; i < n; ++i) {
+    double* wi = w.rowPtr(i);
+    for (std::size_t j = 0; j < n; ++j) wi[j] = alpha[i] * alpha[j] - wi[j];
+  }
+  const Vec traces = k->gramGradTraces(x_, w);
+  for (std::size_t p = 0; p < nk; ++p) grad[p] = -0.5 * traces[p];
   if (opts_.optimize_noise) {
     // dK/d log_noise = 2 * noise_var * I.
     double tr = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-      tr += alpha[i] * alpha[i] - kinv(i, i);
+    for (std::size_t i = 0; i < n; ++i) tr += w(i, i);
     grad[nk] = -0.5 * tr * 2.0 * noise_var;
     // At a clamp boundary, zero the gradient component pointing outward so
     // the line search does not chase an inert direction.
@@ -130,7 +136,8 @@ void GpRegressor::fit(const Dataset& x, const Vec& y, rng::Rng& rng) {
   // Informed multi-start: the caller's prototype parameters, the
   // median-distance data-driven initialization, and random perturbations of
   // the latter. The data-driven start is what rescues MLE from the
-  // "everything is noise" optimum on fast-varying targets.
+  // "everything is noise" optimum on fast-varying targets. Every rng draw
+  // happens here, before any start runs.
   std::vector<Vec> starts;
   starts.push_back(packedParams());
   {
@@ -150,14 +157,9 @@ void GpRegressor::fit(const Dataset& x, const Vec& y, rng::Rng& rng) {
       starts.push_back(std::move(q));
     }
   }
-  opt::OptResult best;
-  best.value = std::numeric_limits<double>::infinity();
-  last_fit_iters_ = 0;
-  for (const auto& start : starts) {
-    const opt::OptResult r = opt::minimizeLbfgs(objective, start, lopts);
-    last_fit_iters_ += r.iterations;
-    if (std::isfinite(r.value) && r.value < best.value) best = r;
-  }
+  const opt::OptResult best = opt::multiStartMinimize(objective, starts, lopts);
+  last_fit_iters_ = best.iterations;
+  last_fit_starts_ = static_cast<int>(starts.size());
   if (std::isfinite(best.value)) applyPacked(best.x);
 
   refitPosterior(x, y);

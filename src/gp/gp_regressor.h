@@ -105,6 +105,9 @@ class GpRegressor {
 
   /// Total L-BFGS iterations spent across all restarts in the last fit().
   int lastFitIterations() const { return last_fit_iters_; }
+  /// Multistart L-BFGS runs the last fit() made (each capped at
+  /// max_mle_iters), so lastFitIterations() <= max_mle_iters * this.
+  int lastFitStarts() const { return last_fit_starts_; }
   /// Condition estimate of the fitted (noise-augmented) Gram matrix.
   double gramConditionEstimate() const {
     return state_.chol ? state_.chol->conditionEstimate() : 1.0;
@@ -128,6 +131,7 @@ class GpRegressor {
   GpFitOptions opts_;
   double log_noise_ = 0.0;
   int last_fit_iters_ = 0;
+  int last_fit_starts_ = 0;
 
   // Cached training data and shared posterior core.
   Dataset x_;

@@ -33,6 +33,12 @@ class Kernel {
   /// dK(X,X)/d log-param p.
   virtual linalg::Matrix gramGrad(const Dataset& x, std::size_t p) const = 0;
 
+  /// Gradient traces t[p] = sum_i sum_j W(i,j) dK(X,X)(i,j)/d log-param p,
+  /// each summed over (i, j) in row-major order — all the marginal
+  /// likelihood gradient needs of dK. The default loops over gramGrad;
+  /// overrides must return bit-identical sums.
+  virtual Vec gramGradTraces(const Dataset& x, const linalg::Matrix& w) const;
+
   /// Data-driven hyperparameter initialization (e.g. the median-distance
   /// heuristic for lengthscales). MLE landscapes for GP kernels have an
   /// "everything is noise" local optimum that swallows gradient descent when

@@ -8,12 +8,34 @@
 #include <stdexcept>
 
 #include "linalg/vec_ops.h"
-#include "opt/lbfgs.h"
+#include "opt/multistart.h"
 
 namespace cmmfo::gp {
 
 namespace {
 std::size_t lowerTriCount(std::size_t m) { return m * (m + 1) / 2; }
+
+/// Task-major stacked ICM Gram B (x) Kx plus per-task noise on the diagonal.
+linalg::Matrix stackedGram(const linalg::Matrix& kx, const linalg::Matrix& b,
+                           const Vec& log_noise) {
+  const std::size_t n = kx.rows();
+  const std::size_t m = b.rows();
+  linalg::Matrix gram(n * m, n * m);
+  for (std::size_t mm = 0; mm < m; ++mm)
+    for (std::size_t mp = 0; mp < m; ++mp) {
+      const double bmm = b(mm, mp);
+      for (std::size_t i = 0; i < n; ++i) {
+        double* dst = gram.rowPtr(mm * n + i) + mp * n;
+        const double* src = kx.rowPtr(i);
+        for (std::size_t j = 0; j < n; ++j) dst[j] += bmm * src[j];
+      }
+    }
+  for (std::size_t mm = 0; mm < m; ++mm) {
+    const double nv = std::exp(2.0 * log_noise[mm]);
+    for (std::size_t i = 0; i < n; ++i) gram(mm * n + i, mm * n + i) += nv;
+  }
+  return gram;
+}
 }  // namespace
 
 MultiTaskGp::MultiTaskGp(const Kernel& input_kernel, std::size_t num_tasks,
@@ -33,6 +55,7 @@ MultiTaskGp::MultiTaskGp(const MultiTaskGp& o)
       l_entries_(o.l_entries_),
       log_noise_(o.log_noise_),
       last_fit_iters_(o.last_fit_iters_),
+      last_fit_starts_(o.last_fit_starts_),
       x_(o.x_),
       y_raw_(o.y_raw_),
       state_(o.state_),
@@ -47,6 +70,7 @@ MultiTaskGp& MultiTaskGp::operator=(const MultiTaskGp& o) {
   l_entries_ = o.l_entries_;
   log_noise_ = o.log_noise_;
   last_fit_iters_ = o.last_fit_iters_;
+  last_fit_starts_ = o.last_fit_starts_;
   x_ = o.x_;
   y_raw_ = o.y_raw_;
   state_ = o.state_;
@@ -88,29 +112,6 @@ linalg::Matrix MultiTaskGp::buildB(const Vec& l_entries, std::size_t m) {
   return l.matmul(l.transposed());
 }
 
-linalg::Matrix MultiTaskGp::buildStackedGram(const Kernel& k,
-                                             const Vec& l_entries,
-                                             const Vec& log_noise) const {
-  const std::size_t n = x_.size();
-  const linalg::Matrix kx = k.gram(x_);
-  const linalg::Matrix b = buildB(l_entries, m_);
-  linalg::Matrix gram(n * m_, n * m_);
-  for (std::size_t mm = 0; mm < m_; ++mm)
-    for (std::size_t mp = 0; mp < m_; ++mp) {
-      const double bmm = b(mm, mp);
-      for (std::size_t i = 0; i < n; ++i) {
-        double* dst = gram.rowPtr(mm * n + i) + mp * n;
-        const double* src = kx.rowPtr(i);
-        for (std::size_t j = 0; j < n; ++j) dst[j] += bmm * src[j];
-      }
-    }
-  for (std::size_t mm = 0; mm < m_; ++mm) {
-    const double nv = std::exp(2.0 * log_noise[mm]);
-    for (std::size_t i = 0; i < n; ++i) gram(mm * n + i, mm * n + i) += nv;
-  }
-  return gram;
-}
-
 double MultiTaskGp::negLml(const Vec& packed, Vec& grad) const {
   const std::size_t n = x_.size();
   const std::size_t nn = n * m_;
@@ -134,8 +135,13 @@ double MultiTaskGp::negLml(const Vec& packed, Vec& grad) const {
       y_stacked[mm * n + i] =
           state_.standardizers[mm].transform(y_raw_(i, mm));
 
-  const linalg::Matrix gram = buildStackedGram(*k, l_entries, log_noise);
-  auto chol = linalg::Cholesky::factorizeWithJitter(gram);
+  const linalg::Matrix kx = k->gram(x_);
+  const linalg::Matrix b = buildB(l_entries, m_);
+  // The stacked Gram dies as soon as it is factorized, and the factor as
+  // soon as the inverse is built, so at most two (nM)^2 buffers are live —
+  // this objective runs on every multistart thread at once.
+  std::optional<linalg::Cholesky> chol =
+      linalg::Cholesky::factorizeWithJitter(stackedGram(kx, b, log_noise));
   if (!chol) return std::numeric_limits<double>::infinity();
 
   const Vec alpha = chol->solve(y_stacked);
@@ -145,43 +151,36 @@ double MultiTaskGp::negLml(const Vec& packed, Vec& grad) const {
 
   // W = alpha alpha^T - K^{-1}; dNLL/dtheta = -1/2 tr(W dK/dtheta).
   const linalg::Matrix kinv = chol->inverse();
+  chol.reset();
   auto w = [&](std::size_t a, std::size_t b2) {
     return alpha[a] * alpha[b2] - kinv(a, b2);
   };
 
-  const linalg::Matrix kx = k->gram(x_);
-  const linalg::Matrix b = buildB(l_entries, m_);
-
-  // Kernel parameters: dK = B (x) dKx. Precompute the B-weighted collapse of
-  // W over task blocks so each kernel parameter costs O(n^2).
+  // One sweep over W's task blocks builds both collapses:
+  //   wsum = sum_{mm,mp} B[mm,mp] W_(mm,mp)   (kernel params: dK = B (x) dKx,
+  //                                            so each costs O(n^2))
+  //   T[mm,mp] = sum_ij W[(mm,i),(mp,j)] Kx(i,j)  (task params: dK = dB (x) Kx)
+  // Every accumulator still sums its terms in the order of a separate sweep.
   linalg::Matrix wsum(n, n);
-  for (std::size_t mm = 0; mm < m_; ++mm)
-    for (std::size_t mp = 0; mp < m_; ++mp) {
-      const double bmm = b(mm, mp);
-      if (bmm == 0.0) continue;
-      for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-          wsum(i, j) += bmm * w(mm * n + i, mp * n + j);
-    }
-  for (std::size_t p = 0; p < nk; ++p) {
-    const linalg::Matrix dkx = k->gramGrad(x_, p);
-    double tr = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j) tr += wsum(i, j) * dkx(i, j);
-    grad[p] = -0.5 * tr;
-  }
-
-  // Task-covariance parameters: dK = dB (x) Kx. Precompute
-  // T[mm, mp] = sum_ij W[(mm,i),(mp,j)] Kx(i,j) so each is O(M^2).
   linalg::Matrix t(m_, m_);
   for (std::size_t mm = 0; mm < m_; ++mm)
     for (std::size_t mp = 0; mp < m_; ++mp) {
+      const double bmm = b(mm, mp);
       double s = 0.0;
-      for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-          s += w(mm * n + i, mp * n + j) * kx(i, j);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double* kxi = kx.rowPtr(i);
+        double* wsi = wsum.rowPtr(i);
+        for (std::size_t j = 0; j < n; ++j) {
+          const double wv = w(mm * n + i, mp * n + j);
+          if (bmm != 0.0) wsi[j] += bmm * wv;
+          s += wv * kxi[j];
+        }
+      }
       t(mm, mp) = s;
     }
+  const Vec traces = k->gramGradTraces(x_, wsum);
+  for (std::size_t p = 0; p < nk; ++p) grad[p] = -0.5 * traces[p];
+
   // Expand L for dB computation.
   linalg::Matrix lmat(m_, m_);
   {
@@ -231,7 +230,8 @@ void MultiTaskGp::fit(const Dataset& x, const linalg::Matrix& y,
 
   // Informed multi-start (see GpRegressor::fit): prototype parameters plus
   // the median-distance data initialization of the input kernel, plus
-  // random perturbations of the latter.
+  // random perturbations of the latter. Every rng draw happens here, before
+  // any start runs, so the concurrent starts cannot reorder the stream.
   std::vector<Vec> starts;
   starts.push_back(packedParams());
   {
@@ -251,14 +251,9 @@ void MultiTaskGp::fit(const Dataset& x, const linalg::Matrix& y,
       starts.push_back(std::move(q));
     }
   }
-  opt::OptResult best;
-  best.value = std::numeric_limits<double>::infinity();
-  last_fit_iters_ = 0;
-  for (const auto& start : starts) {
-    const opt::OptResult r = opt::minimizeLbfgs(objective, start, lopts);
-    last_fit_iters_ += r.iterations;
-    if (std::isfinite(r.value) && r.value < best.value) best = r;
-  }
+  const opt::OptResult best = opt::multiStartMinimize(objective, starts, lopts);
+  last_fit_iters_ = best.iterations;
+  last_fit_starts_ = static_cast<int>(starts.size());
   if (std::isfinite(best.value)) applyPacked(best.x);
 
   refitPosterior(x, y);
@@ -293,7 +288,8 @@ void MultiTaskGp::refitPosterior(const Dataset& x, const linalg::Matrix& y) {
       row_point_[mm * n + i] = i;
       row_task_[mm * n + i] = mm;
     }
-  const linalg::Matrix gram = buildStackedGram(*kernel_, l_entries_, log_noise_);
+  const linalg::Matrix gram = stackedGram(kernel_->gram(x_),
+                                          buildB(l_entries_, m_), log_noise_);
   // Throw (not assert) on an unfactorizable stacked Gram: Release builds
   // compile the assert out and the subsequent solves would read an empty
   // factor. The server's supervision layer turns this throw into a
@@ -441,64 +437,74 @@ MultiPosterior MultiTaskGp::predict(const Vec& x) const {
 std::vector<MultiPosterior> MultiTaskGp::predictBatch(const Dataset& x) const {
   assert(fitted());
   std::vector<MultiPosterior> out;
-  if (x.empty()) return out;
   out.reserve(x.size());
   const std::size_t rows = state_.rows();
-  const std::size_t nc = x.size();
   const linalg::Matrix b = buildB(l_entries_, m_);
-  // One cross-Gram over all candidates and ONE multi-RHS forward substitution
-  // for the whole (candidate x task) RHS block — the covariance uses the same
-  // B kss - V^T V Schur complement as predict(), and the per-candidate
-  // reductions below run in the same index order, so every entry is
-  // bit-identical to the scalar path.
-  const linalg::Matrix kx = kernel_->cross(x_, x);
-  linalg::Matrix kstar(rows, nc * m_);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double* kxp = kx.rowPtr(row_point_[r]);
-    const double* brow = b.rowPtr(row_task_[r]);
-    double* dst = kstar.rowPtr(r);
-    for (std::size_t c = 0; c < nc; ++c) {
-      const double kval = kxp[c];
-      for (std::size_t mp = 0; mp < m_; ++mp) dst[c * m_ + mp] = brow[mp] * kval;
-    }
-  }
-  const linalg::Matrix v = state_.chol->solveLower(kstar);
-
-  // One row sweep per candidate accumulates all m means and m^2 covariance
-  // reductions together: each accumulator still sums its terms in ascending
-  // row order, so folding the sweeps changes memory traffic only (one pass
-  // over the kstar/v rows instead of m + m^2 strided column walks), never a
-  // single bit of any sum.
   Vec mu(m_);
   std::vector<double> red(m_ * m_);
-  for (std::size_t c = 0; c < nc; ++c) {
-    const double kss = kernel_->eval(x[c], x[c]);
-    MultiPosterior post;
-    post.mean.resize(m_);
-    post.cov = linalg::Matrix(m_, m_);
-    std::fill(mu.begin(), mu.end(), 0.0);
-    std::fill(red.begin(), red.end(), 0.0);
-    for (std::size_t a = 0; a < rows; ++a) {
-      const double* ks = kstar.rowPtr(a) + c * m_;
-      const double* vr = v.rowPtr(a) + c * m_;
-      const double al = state_.alpha[a];
-      for (std::size_t mp = 0; mp < m_; ++mp) {
-        mu[mp] += ks[mp] * al;
-        for (std::size_t mq = 0; mq < m_; ++mq)
-          red[mp * m_ + mq] += vr[mp] * vr[mq];
+  // Candidates go through in blocks of kPredictBlock: the cross-covariance
+  // and solve buffers then hold rows x (block x M) doubles, not the whole
+  // sweep's (a 400-candidate scan at M = 3 held two 1200-column blocks, the
+  // largest allocation of a campaign). Blocking only partitions independent
+  // columns, so every candidate sees the same operations.
+  constexpr std::size_t kPredictBlock = 64;
+  for (std::size_t c0 = 0; c0 < x.size(); c0 += kPredictBlock) {
+    const Dataset blk(x.begin() + c0,
+                      x.begin() + std::min(x.size(), c0 + kPredictBlock));
+    const std::size_t nc = blk.size();
+    // One cross-Gram over the block and ONE multi-RHS forward substitution
+    // for its (candidate x task) RHS block — the covariance uses the same
+    // B kss - V^T V Schur complement as predict(), and the per-candidate
+    // reductions below run in the same index order, so every entry is
+    // bit-identical to the scalar path.
+    const linalg::Matrix kx = kernel_->cross(x_, blk);
+    linalg::Matrix kstar(rows, nc * m_);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double* kxp = kx.rowPtr(row_point_[r]);
+      const double* brow = b.rowPtr(row_task_[r]);
+      double* dst = kstar.rowPtr(r);
+      for (std::size_t c = 0; c < nc; ++c) {
+        const double kval = kxp[c];
+        for (std::size_t mp = 0; mp < m_; ++mp)
+          dst[c * m_ + mp] = brow[mp] * kval;
       }
     }
-    for (std::size_t mp = 0; mp < m_; ++mp)
-      post.mean[mp] = state_.standardizers[mp].inverse(mu[mp]);
-    for (std::size_t mp = 0; mp < m_; ++mp)
-      for (std::size_t mq = 0; mq < m_; ++mq) {
-        double cz = b(mp, mq) * kss - red[mp * m_ + mq];
-        if (mp == mq) cz = std::max(cz, 0.0);
-        post.cov(mp, mq) = cz * state_.standardizers[mp].stddev *
-                           state_.standardizers[mq].stddev;
+    const linalg::Matrix v = state_.chol->solveLower(kstar);
+
+    // One row sweep per candidate accumulates all m means and m^2
+    // covariance reductions together: each accumulator still sums its terms
+    // in ascending row order, so folding the sweeps changes memory traffic
+    // only (one pass over the kstar/v rows instead of m + m^2 strided column
+    // walks), never a single bit of any sum.
+    for (std::size_t c = 0; c < nc; ++c) {
+      const double kss = kernel_->eval(blk[c], blk[c]);
+      MultiPosterior post;
+      post.mean.resize(m_);
+      post.cov = linalg::Matrix(m_, m_);
+      std::fill(mu.begin(), mu.end(), 0.0);
+      std::fill(red.begin(), red.end(), 0.0);
+      for (std::size_t a = 0; a < rows; ++a) {
+        const double* ks = kstar.rowPtr(a) + c * m_;
+        const double* vr = v.rowPtr(a) + c * m_;
+        const double al = state_.alpha[a];
+        for (std::size_t mp = 0; mp < m_; ++mp) {
+          mu[mp] += ks[mp] * al;
+          for (std::size_t mq = 0; mq < m_; ++mq)
+            red[mp * m_ + mq] += vr[mp] * vr[mq];
+        }
       }
-    post.cov.symmetrize();
-    out.push_back(std::move(post));
+      for (std::size_t mp = 0; mp < m_; ++mp)
+        post.mean[mp] = state_.standardizers[mp].inverse(mu[mp]);
+      for (std::size_t mp = 0; mp < m_; ++mp)
+        for (std::size_t mq = 0; mq < m_; ++mq) {
+          double cz = b(mp, mq) * kss - red[mp * m_ + mq];
+          if (mp == mq) cz = std::max(cz, 0.0);
+          post.cov(mp, mq) = cz * state_.standardizers[mp].stddev *
+                             state_.standardizers[mq].stddev;
+        }
+      post.cov.symmetrize();
+      out.push_back(std::move(post));
+    }
   }
   return out;
 }

@@ -68,8 +68,8 @@ class MultiTaskGp {
   std::size_t denseBasePoints() const { return state_.base_rows / m_; }
 
   MultiPosterior predict(const Vec& x) const;
-  /// Batched prediction: one cross-Gram build + one multi-RHS solve for the
-  /// whole candidate block. Per candidate bit-identical to predict().
+  /// Batched prediction: one cross-Gram build + one multi-RHS solve per
+  /// block of 64 candidates. Per candidate bit-identical to predict().
   std::vector<MultiPosterior> predictBatch(const Dataset& x) const;
 
   /// Learned task covariance B (standardized-target units).
@@ -103,6 +103,9 @@ class MultiTaskGp {
 
   /// Total L-BFGS iterations spent across all restarts in the last fit().
   int lastFitIterations() const { return last_fit_iters_; }
+  /// Multistart L-BFGS runs the last fit() made (each capped at
+  /// max_mle_iters), so lastFitIterations() <= max_mle_iters * this.
+  int lastFitStarts() const { return last_fit_starts_; }
   /// Condition estimate of the fitted stacked (noise-augmented) Gram matrix.
   double gramConditionEstimate() const {
     return state_.chol ? state_.chol->conditionEstimate() : 1.0;
@@ -117,8 +120,6 @@ class MultiTaskGp {
   std::size_t numPacked() const;
   static linalg::Matrix buildB(const Vec& l_entries, std::size_t m);
   double negLml(const Vec& packed, Vec& grad) const;
-  linalg::Matrix buildStackedGram(const Kernel& k, const Vec& l_entries,
-                                  const Vec& log_noise) const;
   /// Restandardize y_raw_, refresh state_.y_std in factor-row order, and
   /// re-solve targets (shared by the append and truncate paths).
   void resolveTargets();
@@ -129,6 +130,7 @@ class MultiTaskGp {
   Vec l_entries_;   // lower-triangular parameterization of B
   Vec log_noise_;   // per task
   int last_fit_iters_ = 0;
+  int last_fit_starts_ = 0;
 
   // Cached training data and shared posterior core. After a dense refit the
   // factor rows are task-major (row = m*n + i); appended points add their M

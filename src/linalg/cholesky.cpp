@@ -107,12 +107,15 @@ namespace {
 /// columns — each column's operation sequence is untouched.
 constexpr std::size_t kSolveTile = 64;
 
-#if defined(__GNUC__) && defined(__x86_64__) && !defined(__clang__)
+#if defined(__GNUC__) && defined(__x86_64__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
 // Runtime-dispatched wide clones of the tile kernels: 4/8-wide mul+sub over
 // the columns. With contraction off (the build pins -ffp-contract=off for
 // this file — AVX-512F carries its own FMA forms) multiply and subtract
 // stay separately rounded exactly like the baseline ISA, so the wide clones
-// are bit-identical to the default one.
+// are bit-identical to the default one. ThreadSanitizer builds go without:
+// the clones' ifunc resolver runs during relocation, before the TSan
+// runtime is up, and its instrumented entry crashes the process at load.
 #define CMMFO_SOLVE_TILE_CLONES \
   __attribute__((target_clones("avx512f", "avx2", "default")))
 #else
@@ -131,11 +134,19 @@ constexpr std::size_t kSolveTile = 64;
 /// its k terms in ascending order against finalized earlier rows — the
 /// blocking reorders row interleaving only, never a column's operation
 /// sequence, so results stay bit-identical to the per-vector solveLower.
+///
+/// `r0` > 0 promises that rows [0, r0) of the tile are +0.0 in every active
+/// column and that no later row starts at -0.0. Rows above r0 then solve to
+/// +0.0 (+0.0 minus a signed zero stays +0.0, and +0.0 over a positive pivot
+/// is +0.0), and their terms come first in every later row's ascending k
+/// sum, where subtracting a signed zero from a value other than -0.0
+/// changes nothing. Skipping them is therefore bit-identical.
 CMMFO_SOLVE_TILE_CLONES
-void forwardSubTile(const Matrix& l, double* xb, std::size_t tw) {
+void forwardSubTile(const Matrix& l, double* xb, std::size_t tw,
+                    std::size_t r0 = 0) {
   const std::size_t n = l.rows();
   double a0[kSolveTile], a1[kSolveTile], a2[kSolveTile], a3[kSolveTile];
-  std::size_t i = 0;
+  std::size_t i = r0;
   for (; i + 4 <= n; i += 4) {
     double* x0 = xb + i * kSolveTile;
     double* x1 = x0 + kSolveTile;
@@ -151,7 +162,7 @@ void forwardSubTile(const Matrix& l, double* xb, std::size_t tw) {
     const double* l1 = l.rowPtr(i + 1);
     const double* l2 = l.rowPtr(i + 2);
     const double* l3 = l.rowPtr(i + 3);
-    for (std::size_t k = 0; k < i; ++k) {
+    for (std::size_t k = r0; k < i; ++k) {
       const double* xk = xb + k * kSolveTile;
       const double m0 = l0[k], m1 = l1[k], m2 = l2[k], m3 = l3[k];
       for (std::size_t c = 0; c < tw; ++c) {
@@ -189,7 +200,7 @@ void forwardSubTile(const Matrix& l, double* xb, std::size_t tw) {
     double* xi = xb + i * kSolveTile;
     for (std::size_t c = 0; c < tw; ++c) a0[c] = xi[c];
     const double* li = l.rowPtr(i);
-    for (std::size_t k = 0; k < i; ++k) {
+    for (std::size_t k = r0; k < i; ++k) {
       const double lik = li[k];
       const double* xk = xb + k * kSolveTile;
       for (std::size_t c = 0; c < tw; ++c) a0[c] -= lik * xk[c];
@@ -325,7 +336,26 @@ double Cholesky::logDet() const {
   return 2.0 * s;
 }
 
-Matrix Cholesky::inverse() const { return solve(Matrix::identity(dim())); }
+Matrix Cholesky::inverse() const {
+  // solve(identity) without materializing the identity: each column tile of
+  // it is written straight into the tile buffer, solved, and unpacked into
+  // the result — one n x n buffer instead of two (the identity and its
+  // working copy). A tile starting at column c0 is zero above row c0, so
+  // its forward substitution starts there (bit-identical; see
+  // forwardSubTile).
+  const std::size_t n = dim();
+  Matrix x(n, n);
+  std::vector<double> xb(n * kSolveTile);
+  for (std::size_t c0 = 0; c0 < n; c0 += kSolveTile) {
+    const std::size_t tw = std::min(kSolveTile, n - c0);
+    std::fill(xb.begin(), xb.end(), 0.0);
+    for (std::size_t c = 0; c < tw; ++c) xb[(c0 + c) * kSolveTile + c] = 1.0;
+    forwardSubTile(l_, xb.data(), tw, c0);
+    backwardSubTile(l_, xb.data(), tw);
+    unpackTile(xb.data(), c0, tw, x);
+  }
+  return x;
+}
 
 double Cholesky::conditionEstimate() const {
   const std::size_t n = dim();

@@ -78,6 +78,15 @@ EvalCache::FlightJoin EvalCache::joinFlight(
     std::unique_lock<std::mutex> lock(flight_mu_);
     const auto it = in_flight_.find(key);
     if (it == in_flight_.end()) {
+      // The caller's cache probe ran before this lock: a leader may have
+      // stored its flow and finished its flight in between. Re-check
+      // (uncounted; the caller's miss stands) before granting a duplicate
+      // run. flight_mu_ -> mu_ is the only order the two locks nest in.
+      {
+        std::lock_guard<std::mutex> cache_lock(mu_);
+        if (findLocked(config, fidelity, ns, 0, /*count=*/false) != nullptr)
+          return FlightJoin::kRetry;
+      }
       in_flight_.emplace(key, Flight{static_cast<int>(fidelity), self, 0});
       return FlightJoin::kLeader;
     }

@@ -82,7 +82,8 @@ class EvalCache {
   //             the caller's ledger (the original miss count stands — the
   //             artifact was not cached when asked for).
   //   kRetry  — the concurrent flow was too shallow, failed, or was evicted
-  //             before we looked: re-probe the cache and join again.
+  //             before we looked, or a flow finished between the caller's
+  //             probe and this join: re-probe the cache and join again.
 
   enum class FlightJoin { kLeader, kServed, kRetry };
 

@@ -21,10 +21,11 @@ template <typename T>
 class CompletionQueue {
  public:
   void push(T value) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      items_.push(std::move(value));
-    }
+    // Notify under the lock: once it is released, a consumer may pop this
+    // item and destroy the queue (e.g. the last completion of a scheduler
+    // being torn down), and a notify after that would touch a dead cv_.
+    std::lock_guard<std::mutex> lock(mu_);
+    items_.push(std::move(value));
     cv_.notify_one();
   }
 

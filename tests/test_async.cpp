@@ -168,8 +168,9 @@ TEST(AsyncScheduler, CompletionOrderIsSimulatedTimeNotThreadTime) {
     EXPECT_DOUBLE_EQ(ev1[i].sim_end, ev1[i].result.charged_seconds);
     if (i > 0) {
       EXPECT_GE(ev1[i].sim_end, ev1[i - 1].sim_end);
-      if (ev1[i].sim_end == ev1[i - 1].sim_end)
+      if (ev1[i].sim_end == ev1[i - 1].sim_end) {
         EXPECT_GT(ev1[i].seq, ev1[i - 1].seq);
+      }
     }
   }
   // The farm is 4-wide with 5 concurrent jobs at t=0, so the simulated

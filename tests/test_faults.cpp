@@ -222,8 +222,11 @@ TEST(SchedulerFaults, RetriesChargeHonestlyAndTieOutWithTheSimulator) {
   EXPECT_DOUBLE_EQ(t.charged_seconds, f.sim.totalToolSeconds());
   // Wall-clock includes backoff; charged does not.
   EXPECT_GE(t.wall_seconds, t.charged_seconds + t.backoff_seconds - 1e-9);
-  for (const EvalResult& r : results)
-    if (r.attempts > 1) EXPECT_GT(r.wasted_seconds, 0.0);
+  for (const EvalResult& r : results) {
+    if (r.attempts > 1) {
+      EXPECT_GT(r.wasted_seconds, 0.0);
+    }
+  }
 }
 
 TEST(SchedulerFaults, PersistentFailureAbortsWithoutBurningRetries) {
@@ -320,7 +323,9 @@ TEST(OptimizerFaults, RunsToCompletionUnderInjectedFaults) {
   EXPECT_DOUBLE_EQ(res.tool_seconds, f.sim.totalToolSeconds());
   // Every proposal is represented in CS, completed or not.
   EXPECT_GE(res.cs.size(), res.iterations.size());
-  if (res.transient_failures > 0) EXPECT_GT(res.wasted_seconds, 0.0);
+  if (res.transient_failures > 0) {
+    EXPECT_GT(res.wasted_seconds, 0.0);
+  }
 }
 
 TEST(OptimizerFaults, PersistentFailuresFeedThePenaltyPath) {

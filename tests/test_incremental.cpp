@@ -329,7 +329,8 @@ TEST(MultiTaskGpIncremental, PredictBatchBitwiseEqualsScalar) {
   m.appendObservation({0.15, 0.95}, {0.2, -0.4});
   m.appendObservation({0.85, 0.05}, {0.6, -1.0});
 
-  const gp::Dataset cand = randomInputs(23, 2, rng);
+  // 150 candidates span three 64-candidate prediction blocks.
+  const gp::Dataset cand = randomInputs(150, 2, rng);
   const std::vector<gp::MultiPosterior> batch = m.predictBatch(cand);
   ASSERT_EQ(batch.size(), cand.size());
   for (std::size_t c = 0; c < cand.size(); ++c) {

@@ -23,6 +23,7 @@ KernelPtr makeKernel(const std::string& name, std::size_t dim) {
   if (name == "rbf") return std::make_unique<RbfArd>(dim);
   if (name == "matern") return std::make_unique<Matern52Ard>(dim);
   if (name == "rbf_unit") return std::make_unique<RbfArd>(dim, true);
+  if (name == "matern_unit") return std::make_unique<Matern52Ard>(dim, true);
   if (name == "sum")
     return std::make_unique<SumKernel>(std::make_unique<RbfArd>(dim),
                                        std::make_unique<Matern52Ard>(dim));
@@ -35,6 +36,16 @@ KernelPtr makeKernel(const std::string& name, std::size_t dim) {
     if (dims.empty()) dims.push_back(0);
     return std::make_unique<SubspaceKernel>(
         std::make_unique<Matern52Ard>(dims.size()), dims);
+  }
+  if (name == "nargp") {
+    // The non-linear multi-fidelity composite: k_z over every coordinate
+    // plus k_e over all but the last (the lower fidelity's prediction).
+    std::vector<std::size_t> xdims;
+    for (std::size_t i = 0; i + 1 < dim; ++i) xdims.push_back(i);
+    return std::make_unique<SumKernel>(
+        std::make_unique<Matern52Ard>(dim),
+        std::make_unique<SubspaceKernel>(
+            std::make_unique<Matern52Ard>(xdims.size()), xdims));
   }
   ADD_FAILURE() << "unknown kernel " << name;
   return nullptr;
@@ -108,9 +119,33 @@ TEST_P(KernelFamilies, GramGradMatchesFiniteDifference) {
   }
 }
 
+TEST_P(KernelFamilies, GramGradTracesMatchPerParameterLoop) {
+  // Every family's traces must be bit-for-bit the per-parameter loop the MLE
+  // gradient used to run: sum_ij W(i,j) * gramGrad(x, p)(i,j), row-major.
+  rng::Rng rng(11);
+  const auto k = makeKernel(GetParam(), 4);
+  Vec p = k->params();
+  for (auto& v : p) v += rng.uniform(-0.5, 0.5);
+  k->setParams(p);
+  const Dataset x = randomPoints(9, 4, rng);
+  linalg::Matrix w(x.size(), x.size());
+  for (std::size_t i = 0; i < x.size(); ++i)
+    for (std::size_t j = 0; j < x.size(); ++j) w(i, j) = rng.uniform(-1.0, 1.0);
+  const Vec t = k->gramGradTraces(x, w);
+  ASSERT_EQ(t.size(), k->numParams());
+  for (std::size_t q = 0; q < k->numParams(); ++q) {
+    const linalg::Matrix dk = k->gramGrad(x, q);
+    double tr = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i)
+      for (std::size_t j = 0; j < x.size(); ++j) tr += w(i, j) * dk(i, j);
+    EXPECT_EQ(t[q], tr) << GetParam() << " param " << q;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Families, KernelFamilies,
-                         ::testing::Values("rbf", "matern", "rbf_unit", "sum",
-                                           "product", "subspace"));
+                         ::testing::Values("rbf", "matern", "rbf_unit",
+                                           "matern_unit", "sum", "product",
+                                           "subspace", "nargp"));
 
 TEST(RbfArd, KnownValue) {
   RbfArd k(1);

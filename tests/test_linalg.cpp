@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
@@ -172,6 +173,26 @@ TEST(Cholesky, InverseTimesMatrixIsIdentity) {
   const auto chol = Cholesky::factorize(a);
   ASSERT_TRUE(chol.has_value());
   EXPECT_LT(a.matmul(chol->inverse()).maxAbsDiff(Matrix::identity(6)), 1e-7);
+}
+
+TEST(Cholesky, InverseIsBitwiseSolveOfIdentity) {
+  // inverse() skips the exact-zero rows above each column tile and never
+  // materializes the identity; neither may change a bit, at sizes on and
+  // around the 64-column tile boundaries.
+  for (std::size_t n : {1, 63, 64, 65, 130, 200}) {
+    rng::Rng rng(n);
+    const auto chol = Cholesky::factorize(randomSpd(n, rng));
+    ASSERT_TRUE(chol.has_value());
+    const Matrix inv = chol->inverse();
+    const Matrix ref = chol->solve(Matrix::identity(n));
+    ASSERT_EQ(inv.rows(), n);
+    ASSERT_EQ(inv.cols(), n);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      mismatches += std::memcmp(inv.rowPtr(i), ref.rowPtr(i),
+                                n * sizeof(double)) != 0;
+    EXPECT_EQ(mismatches, 0u) << "n = " << n;
+  }
 }
 
 TEST(Cholesky, IdentityLogDetZero) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "gp/ard_kernels.h"
 #include "gp/gp_regressor.h"
@@ -188,6 +189,50 @@ TEST(MultiTaskGp, CopySemantics) {
   gp.fit(x, y, rng);
   const MultiTaskGp copy = gp;
   EXPECT_DOUBLE_EQ(copy.predict({0.3}).mean[1], gp.predict({0.3}).mean[1]);
+}
+
+TEST(MultiTaskGp, ConcurrentAndRepeatedFitsAreBitwiseEqual) {
+  // Each fit runs its multistart L-BFGS on helper threads. Neither two fits
+  // at once nor repetition may move a bit of the result.
+  rng::Rng data_rng(21);
+  Dataset x;
+  for (std::size_t i = 0; i < 14; ++i)
+    x.push_back({data_rng.uniform(), data_rng.uniform(), data_rng.uniform()});
+  linalg::Matrix y(x.size(), 3);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double f = std::sin(4.0 * x[i][0]) + x[i][1];
+    y(i, 0) = f + 0.05 * data_rng.normal();
+    y(i, 1) = -f + 0.05 * data_rng.normal();
+    y(i, 2) = x[i][2] + 0.05 * data_rng.normal();
+  }
+  MultiTaskFitOptions opts;
+  opts.mle_restarts = 2;
+  opts.max_mle_iters = 20;
+  const auto fitOnce = [&] {
+    MultiTaskGp gp(Matern52Ard(3, true), 3, opts);
+    rng::Rng rng(22);
+    gp.fit(x, y, rng);
+    return gp;
+  };
+  const MultiTaskGp ref = fitOnce();
+  EXPECT_EQ(ref.lastFitStarts(), 5);
+
+  MultiTaskGp a = ref, b = ref;
+  {
+    std::thread ta([&] { a = fitOnce(); });
+    std::thread tb([&] { b = fitOnce(); });
+    ta.join();
+    tb.join();
+  }
+  for (const MultiTaskGp* gp : {&a, &b}) {
+    EXPECT_EQ(gp->packedParams(), ref.packedParams());
+    EXPECT_EQ(gp->lastFitIterations(), ref.lastFitIterations());
+  }
+  for (int r = 0; r < 20; ++r) {
+    const MultiTaskGp again = fitOnce();
+    ASSERT_EQ(again.packedParams(), ref.packedParams()) << "repeat " << r;
+    ASSERT_EQ(again.lastFitIterations(), ref.lastFitIterations());
+  }
 }
 
 }  // namespace

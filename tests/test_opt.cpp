@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <limits>
+#include <mutex>
+#include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "opt/adam.h"
 #include "opt/finite_diff.h"
 #include "opt/lbfgs.h"
 #include "opt/multistart.h"
+#include "rng/rng.h"
 
 namespace cmmfo::opt {
 namespace {
@@ -98,20 +105,82 @@ TEST(FiniteDiff, NumericGradientWrapper) {
   EXPECT_NEAR(g[1], 6.0, 1e-5);
 }
 
+// Double-well along x: f = (x^2 - 1)^2 + small tilt so the global minimum
+// is at x = -1.
+double doubleWell(const std::vector<double>& x, std::vector<double>& g) {
+  const double v = x[0] * x[0] - 1.0;
+  g = {4.0 * v * x[0] + 0.1};
+  return v * v + 0.1 * x[0];
+}
+
 TEST(MultiStart, EscapesBadStart) {
-  // Double-well along x: f = (x^2 - 1)^2 + small tilt so the global minimum
-  // is at x = -1; start near the worse well.
-  GradObjectiveFn f = [](const std::vector<double>& x, std::vector<double>& g) {
-    const double v = x[0] * x[0] - 1.0;
-    g = {4.0 * v * x[0] + 0.1};
-    return v * v + 0.1 * x[0];
-  };
+  // Start 0 sits near the worse well; random starts around it find x = -1.
   rng::Rng rng(3);
-  MultiStartOptions ms;
-  ms.extra_starts = 10;
-  ms.radius = 2.0;
-  const auto res = multiStartMinimize(f, {0.9}, rng, ms);
+  std::vector<std::vector<double>> starts = {{0.9}};
+  for (int s = 0; s < 10; ++s) starts.push_back({0.9 + rng.uniform(-2.0, 2.0)});
+  const auto res = multiStartMinimize(doubleWell, starts);
   EXPECT_NEAR(res.x[0], -1.0, 0.1);
+}
+
+TEST(MultiStart, ReducesInStartOrderAndSumsIterations) {
+  // Starts 1 and 3 reach the same global well; the lower index must win
+  // ties, exactly as a sequential first-strictly-better loop keeps it.
+  const std::vector<std::vector<double>> starts = {
+      {0.9}, {-1.3}, {1.4}, {-1.3}};
+  const OptResult best = multiStartMinimize(doubleWell, starts);
+  OptResult seq;
+  seq.value = std::numeric_limits<double>::infinity();
+  int iters = 0;
+  for (const auto& s : starts) {
+    const OptResult r = minimizeLbfgs(doubleWell, s);
+    iters += r.iterations;
+    if (std::isfinite(r.value) && r.value < seq.value) seq = r;
+  }
+  EXPECT_EQ(best.value, seq.value);
+  EXPECT_EQ(best.x, seq.x);
+  EXPECT_EQ(best.iterations, iters);
+}
+
+TEST(MultiStart, HelperExceptionReachesCaller) {
+  // Only start 2 throws, on whichever thread claims it; the caller must
+  // see it after every start has finished.
+  GradObjectiveFn f = [](const std::vector<double>& x, std::vector<double>& g) {
+    if (x[0] > 100.0) throw std::runtime_error("bad start");
+    return doubleWell(x, g);
+  };
+  const std::vector<std::vector<double>> starts = {{0.5}, {-0.5}, {500.0}};
+  EXPECT_THROW(multiStartMinimize(f, starts), std::runtime_error);
+}
+
+TEST(MultiStart, UsesAtMostMultiStartThreads) {
+  // Twelve starts, each slow enough that idle threads would pick up work,
+  // still run on no more threads than the cap, and give the same winner.
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  GradObjectiveFn f = [&](const std::vector<double>& x, std::vector<double>& g) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      ids.insert(std::this_thread::get_id());
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    return doubleWell(x, g);
+  };
+  std::vector<std::vector<double>> starts;
+  for (int s = 0; s < 12; ++s) starts.push_back({-1.5 + 0.25 * s});
+  const OptResult r = multiStartMinimize(f, starts);
+  EXPECT_GE(multiStartThreads(), 1u);
+  EXPECT_LE(ids.size(), multiStartThreads());
+  EXPECT_NEAR(r.x[0], -1.0, 0.1);
+}
+
+TEST(MultiStart, AllNonFiniteStartsReportInfinity) {
+  GradObjectiveFn f = [](const std::vector<double>&, std::vector<double>& g) {
+    g = {0.0};
+    return std::numeric_limits<double>::infinity();
+  };
+  const OptResult r = multiStartMinimize(f, {{0.0}, {1.0}});
+  EXPECT_FALSE(std::isfinite(r.value));
+  EXPECT_TRUE(r.x.empty());
 }
 
 }  // namespace

@@ -35,7 +35,9 @@ TEST(Dominance, Transitivity) {
     Point a = {rng.uniform(), rng.uniform()};
     Point b = {a[0] + rng.uniform(0.0, 0.5), a[1] + rng.uniform(0.0, 0.5)};
     Point c = {b[0] + rng.uniform(0.0, 0.5), b[1] + rng.uniform(0.0, 0.5)};
-    if (dominates(a, b) && dominates(b, c)) EXPECT_TRUE(dominates(a, c));
+    if (dominates(a, b) && dominates(b, c)) {
+      EXPECT_TRUE(dominates(a, c));
+    }
   }
 }
 

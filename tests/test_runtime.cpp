@@ -204,6 +204,29 @@ TEST(EvalCache, ConcurrentSameKeyInsertStaysConsistent) {
   EXPECT_DOUBLE_EQ(got->delay_us, flow[2].delay_us);
 }
 
+TEST(EvalCache, JoinAfterLeaderStoredAndFinishedIsNotALeader) {
+  // A follower whose cache probe missed can reach joinFlight only after the
+  // leader has stored its flow and finished its flight. It must be sent
+  // back to re-probe the cache, not made leader of a duplicate tool run.
+  Fixture f;
+  EvalCache cache;
+  const std::uint64_t ns = 3;
+  EXPECT_FALSE(cache.findFlowUncounted(6, Fidelity::kSyn, ns).has_value());
+  std::array<sim::Report, sim::kNumFidelities> stages{};
+  ASSERT_EQ(cache.joinFlight(6, Fidelity::kSyn, ns, 0, &stages),
+            EvalCache::FlightJoin::kLeader);
+  cache.storeFlow(6, Fidelity::kImpl, flowOf(f, 6, Fidelity::kImpl), ns);
+  EXPECT_EQ(cache.finishFlight(6, ns), 0);
+  EXPECT_EQ(cache.joinFlight(6, Fidelity::kSyn, ns, 0, &stages),
+            EvalCache::FlightJoin::kRetry);
+  EXPECT_EQ(cache.flightWaiters(6, ns), 0);
+  // A cached flow too shallow for the request still grants leadership.
+  cache.storeFlow(7, Fidelity::kHls, flowOf(f, 7, Fidelity::kHls), ns);
+  EXPECT_EQ(cache.joinFlight(7, Fidelity::kImpl, ns, 0, &stages),
+            EvalCache::FlightJoin::kLeader);
+  cache.finishFlight(7, ns);
+}
+
 TEST(EvalCache, StatsSnapshotMatchesCountersAndContentsSorted) {
   Fixture f;
   EvalCache cache;
