@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks for the GP stack: Gram construction,
 // Cholesky, single-output MLE fit, multi-task fit, MLE objective and
 // prediction, the incremental posterior paths (rank-append vs dense refit,
-// batched vs scalar prediction), and the MC-EIPV acquisition — the
-// per-iteration cost drivers of Algorithm 2.
+// batched vs scalar prediction), GBRT fallback prediction, and the MC-EIPV
+// acquisition — the per-iteration cost drivers of Algorithm 2.
 //
 // With CMMFO_PERF_GATE set (non-empty, not "0") the binary skips the
 // google-benchmark harness and runs a hard perf-regression gate instead:
@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "baselines/gbrt.h"
 #include "core/acquisition.h"
 #include "gp/ard_kernels.h"
 #include "gp/gp_regressor.h"
@@ -53,7 +54,7 @@ void BM_Cholesky(benchmark::State& state) {
   for (auto _ : state)
     benchmark::DoNotOptimize(linalg::Cholesky::factorize(gram));
 }
-BENCHMARK(BM_Cholesky)->Arg(48)->Arg(96)->Arg(144);
+BENCHMARK(BM_Cholesky)->Arg(48)->Arg(96)->Arg(144)->Arg(192);
 
 void BM_GpFit(benchmark::State& state) {
   const std::size_t n = state.range(0);
@@ -240,6 +241,36 @@ void BM_McEipv(benchmark::State& state) {
     benchmark::DoNotOptimize(core::mcEipv(mu, cov, front, ref, z));
 }
 BENCHMARK(BM_McEipv)->Arg(16)->Arg(32)->Arg(64);
+
+// GBRT fallback / BT-baseline prediction over a candidate block: one
+// predict() per candidate vs the tree-major batch (same bits per candidate).
+baselines::Gbrt fittedGbrt() {
+  const Dataset x = randomPoints(48, 12, 16);
+  rng::Rng rng(16);
+  std::vector<double> y(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i)
+    y[i] = x[i][0] + 0.5 * x[i][3] * x[i][7] + 0.1 * rng.normal();
+  baselines::Gbrt g;
+  g.fit(x, y, rng);
+  return g;
+}
+
+void BM_GbrtPredictScalar(benchmark::State& state) {
+  const baselines::Gbrt g = fittedGbrt();
+  const Dataset cand = randomPoints(state.range(0), 12, 17);
+  for (auto _ : state)
+    for (const auto& c : cand) benchmark::DoNotOptimize(g.predict(c));
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_GbrtPredictScalar)->Arg(400)->Unit(benchmark::kMicrosecond);
+
+void BM_GbrtPredictBatch(benchmark::State& state) {
+  const baselines::Gbrt g = fittedGbrt();
+  const Dataset cand = randomPoints(state.range(0), 12, 17);
+  for (auto _ : state) benchmark::DoNotOptimize(g.predictBatch(cand));
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_GbrtPredictBatch)->Arg(400)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------
 // CI perf-regression gate (CMMFO_PERF_GATE). Plain steady_clock timing —

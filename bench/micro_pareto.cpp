@@ -51,7 +51,8 @@ void BM_HviExclusive(benchmark::State& state) {
   for (auto _ : state)
     benchmark::DoNotOptimize(hypervolumeImprovement(y, front, ref));
 }
-BENCHMARK(BM_HviExclusive)->Arg(64)->Arg(256);
+// 8 and 16 points are the size of the fronts the acquisition scan scores.
+BENCHMARK(BM_HviExclusive)->Arg(8)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_CellDecomposition2d(benchmark::State& state) {
   const auto front = paretoFilter(randomPoints(state.range(0), 2, 6));

@@ -2,9 +2,14 @@
 # Runs every bench binary (the repo's reproduction sweep).
 #
 #   ./run_benches.sh               run all benches from build/bench; micro
-#                                  benches additionally emit JSON, merged
-#                                  into BENCH_10.json (the perf trajectory
-#                                  archive)
+#                                  benches (5 repetitions each, median and
+#                                  spread kept) and the JSON-emitting benches
+#                                  are merged into the next free
+#                                  BENCH_<n>.json (the perf trajectory
+#                                  archive; an existing archive is never
+#                                  overwritten) with a provenance block: git
+#                                  sha, build type, CMMFO_FAST /
+#                                  CMMFO_REPEATS, nproc and date
 #   ./run_benches.sh --tsan-smoke  build the test binary under ThreadSanitizer
 #                                  (CMMFO_SANITIZE=thread) and run the
 #                                  parallel-runtime tests under it
@@ -31,7 +36,8 @@ for b in build/bench/*; do
       # Google-benchmark binaries archive their results as JSON so the perf
       # trajectory accumulates across revisions.
       "$b" --benchmark_out="$OUTDIR/$(basename "$b").json" \
-           --benchmark_out_format=json
+           --benchmark_out_format=json \
+           --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
       ;;
     server_throughput)
       # The multi-campaign server harness archives its own JSON summary.
@@ -58,11 +64,12 @@ for b in build/bench/*; do
   esac
 done
 
-# Merge the per-binary JSON files into one archive keyed by binary name.
+# Merge the per-binary JSON files into one archive keyed by binary name,
+# written to the next free BENCH_<n>.json with the run's provenance.
 if command -v python3 > /dev/null 2>&1 && [ -n "$(ls "$OUTDIR" 2>/dev/null)" ]; then
-  python3 - "$OUTDIR" BENCH_10.json <<'EOF'
-import json, os, sys
-outdir, dest = sys.argv[1], sys.argv[2]
+  python3 - "$OUTDIR" <<'EOF'
+import datetime, json, os, re, subprocess, sys
+outdir = sys.argv[1]
 merged = {}
 for f in sorted(os.listdir(outdir)):
     if not f.endswith(".json"):
@@ -72,8 +79,39 @@ for f in sorted(os.listdir(outdir)):
             merged[f[:-5]] = json.load(fh)
     except (OSError, ValueError):
         pass
-with open(dest, "w") as fh:
+
+def git_sha():
+    try:
+        return subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
+                              text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+def build_type():
+    try:
+        with open("build/CMakeCache.txt") as fh:
+            for line in fh:
+                if line.startswith("CMAKE_BUILD_TYPE:"):
+                    return line.split("=", 1)[1].strip()
+    except OSError:
+        pass
+    return "unknown"
+
+merged["provenance"] = {
+    "git_sha": git_sha(),
+    "build_type": build_type(),
+    "CMMFO_FAST": os.environ.get("CMMFO_FAST", ""),
+    "CMMFO_REPEATS": os.environ.get("CMMFO_REPEATS", ""),
+    "nproc": len(os.sched_getaffinity(0)),
+    "micro_repetitions": 5,
+    "date": datetime.datetime.now(datetime.timezone.utc).isoformat(
+        timespec="seconds"),
+}
+taken = [int(m.group(1)) for f in os.listdir(".")
+         if (m := re.fullmatch(r"BENCH_(\d+)\.json", f))]
+dest = "BENCH_%d.json" % (max(taken, default=0) + 1)
+with open(dest, "x") as fh:  # "x": never overwrite an archive
     json.dump(merged, fh, indent=1)
-print("archived %d bench result set(s) -> %s" % (len(merged), dest))
+print("archived %d bench result set(s) -> %s" % (len(merged) - 1, dest))
 EOF
 fi

@@ -132,4 +132,13 @@ double Gbrt::predict(const std::vector<double>& x) const {
   return p;
 }
 
+std::vector<double> Gbrt::predictBatch(
+    const std::vector<std::vector<double>>& xs) const {
+  std::vector<double> p(xs.size(), base_);
+  for (const auto& t : trees_)
+    for (std::size_t c = 0; c < xs.size(); ++c)
+      p[c] += opts_.learning_rate * t.eval(xs[c]);
+  return p;
+}
+
 }  // namespace cmmfo::baselines

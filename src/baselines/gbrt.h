@@ -28,6 +28,12 @@ class Gbrt {
   void fit(const std::vector<std::vector<double>>& x,
            const std::vector<double>& y, rng::Rng& rng);
   double predict(const std::vector<double>& x) const;
+  /// predict() over a block of inputs. Tree-major: each tree is walked for
+  /// every input before the next, so its nodes stay in cache, while each
+  /// input still sums base + lr * eval in tree order — bit-identical to
+  /// predict() per input.
+  std::vector<double> predictBatch(
+      const std::vector<std::vector<double>>& xs) const;
 
   int numTrees() const { return static_cast<int>(trees_.size()); }
 

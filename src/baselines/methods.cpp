@@ -185,12 +185,14 @@ DseOutcome BtMethod::run(const hls::DesignSpace& space, sim::FpgaToolSim& sim,
     models.back().fit(td.x, y, rng);
   }
 
+  std::vector<std::vector<double>> pred_cols;
+  for (int m = 0; m < kNumObjectives; ++m)
+    pred_cols.push_back(models[m].predictBatch(space.allFeatures()));
   std::vector<pareto::Point> predictions;
   std::vector<std::size_t> index_map;
   for (std::size_t i = 0; i < space.size(); ++i) {
     pareto::Point p(kNumObjectives);
-    for (int m = 0; m < kNumObjectives; ++m)
-      p[m] = models[m].predict(space.features(i));
+    for (int m = 0; m < kNumObjectives; ++m) p[m] = pred_cols[m][i];
     predictions.push_back(std::move(p));
     index_map.push_back(i);
   }
@@ -251,14 +253,25 @@ DseOutcome Dac19Method::run(const hls::DesignSpace& space,
     impl_models.back().fit(x2, y, rng);
   }
 
+  // Both stages predict the whole space batched, tree-major.
+  std::vector<std::vector<double>> hls_cols;
+  for (int m = 0; m < kNumObjectives; ++m)
+    hls_cols.push_back(hls_models[m].predictBatch(space.allFeatures()));
+  std::vector<std::vector<double>> space_x2;
+  space_x2.reserve(space.size());
+  for (std::size_t i = 0; i < space.size(); ++i) {
+    std::vector<double> xi = space.features(i);
+    for (int m = 0; m < kNumObjectives; ++m) xi.push_back(hls_cols[m][i]);
+    space_x2.push_back(std::move(xi));
+  }
+  std::vector<std::vector<double>> impl_cols;
+  for (int m = 0; m < kNumObjectives; ++m)
+    impl_cols.push_back(impl_models[m].predictBatch(space_x2));
   std::vector<pareto::Point> predictions;
   std::vector<std::size_t> index_map;
   for (std::size_t i = 0; i < space.size(); ++i) {
-    std::vector<double> xi = space.features(i);
-    for (int m = 0; m < kNumObjectives; ++m)
-      xi.push_back(hls_models[m].predict(space.features(i)));
     pareto::Point p(kNumObjectives);
-    for (int m = 0; m < kNumObjectives; ++m) p[m] = impl_models[m].predict(xi);
+    for (int m = 0; m < kNumObjectives; ++m) p[m] = impl_cols[m][i];
     predictions.push_back(std::move(p));
     index_map.push_back(i);
   }

@@ -33,9 +33,12 @@ double mcEipv(const gp::Vec& mu, const linalg::Matrix& cov,
   const auto chol = linalg::Cholesky::factorizeWithJitter(cov, 1e-12);
   if (!chol) return pareto::hypervolumeImprovement(mu, front, ref);
 
+  // Every sample is drawn into the same buffer; hypervolumeImprovement
+  // reuses per-thread scratch, so the loop allocates nothing.
   double acc = 0.0;
+  gp::Vec y(m);
   for (const auto& z : std_normals) {
-    const gp::Vec y = linalg::mvnSample(mu, *chol, z);
+    linalg::mvnSample(mu, *chol, z, &y);
     acc += pareto::hypervolumeImprovement(y, front, ref);
   }
   return acc / static_cast<double>(std_normals.size());

@@ -129,12 +129,36 @@ CorrelatedMfMoboOptimizer::Pick CorrelatedMfMoboOptimizer::scanBest(
     std::vector<diag::FidelityAudit>* audit) const {
   Pick best;
   bool any = false;
+  // Phase breakdown of the acquisition scan (scan_pareto / scan_predict /
+  // scan_eipv): the flame data for the million-candidate acquisition work
+  // — pure timing, gated inside ScopedPhase, never fed back.
+  //
+  // One chained posterior sweep over the untaken candidates: levels
+  // 0..top are each predicted once (single cross-Gram + multi-RHS solve
+  // per GP), every level feeding the one above, instead of one sweep per
+  // fidelity that re-predicts all the levels below it.
+  const std::size_t top = only_fidelity >= 0
+                              ? static_cast<std::size_t>(only_fidelity)
+                              : static_cast<std::size_t>(kNumFidelities - 1);
+  std::vector<std::size_t> open;
+  open.reserve(cand.size());
+  std::vector<std::vector<gp::MultiPosterior>> chain;
+  {
+    obs::ScopedPhase predict_phase("scan_predict");
+    gp::Dataset feats;
+    feats.reserve(cand.size());
+    for (std::size_t ci : cand) {
+      if (taken[ci]) continue;
+      open.push_back(ci);
+      feats.push_back(space_->features(ci));
+    }
+    chain = surrogate_.predictChain(top, feats);
+  }
+  gp::Vec mu(kNumObjectives);
+  linalg::Matrix cov(kNumObjectives, kNumObjectives);
   for (int f = 0; f < kNumFidelities; ++f) {
     if (only_fidelity >= 0 && f != only_fidelity) continue;
     const FidelityData& d = data[f];
-    // Phase breakdown of the acquisition scan (scan_pareto / scan_predict /
-    // scan_eipv): the flame data for the million-candidate acquisition work
-    // — pure timing, gated inside ScopedPhase, never fed back.
     // Normalize this fidelity's objective space so EIPV is scale-free.
     gp::Vec lo(kNumObjectives, 1e300), hi(kNumObjectives, -1e300);
     gp::Vec range(kNumObjectives);
@@ -166,23 +190,8 @@ CorrelatedMfMoboOptimizer::Pick CorrelatedMfMoboOptimizer::scanBest(
             ? costPenalty(stage_seconds[f], stage_seconds[kNumFidelities - 1])
             : 1.0;
 
-    // One batched posterior sweep over the untaken candidates (single
-    // cross-Gram + multi-RHS solve per GP in the chain), then the same
-    // strict-argmax scan in candidate order as the scalar loop.
-    std::vector<std::size_t> open;
-    open.reserve(cand.size());
-    gp::Dataset feats;
-    feats.reserve(cand.size());
-    std::vector<gp::MultiPosterior> posts;
-    {
-      obs::ScopedPhase predict_phase("scan_predict");
-      for (std::size_t ci : cand) {
-        if (taken[ci]) continue;
-        open.push_back(ci);
-        feats.push_back(space_->features(ci));
-      }
-      posts = surrogate_.predictBatch(f, feats);
-    }
+    // The same strict-argmax scan in candidate order as the scalar loop.
+    const std::vector<gp::MultiPosterior>& posts = chain[f];
     diag::FidelityAudit* fa = nullptr;
     if (audit != nullptr) {
       audit->push_back({});
@@ -195,8 +204,6 @@ CorrelatedMfMoboOptimizer::Pick CorrelatedMfMoboOptimizer::scanBest(
       obs::ScopedPhase eipv_phase("scan_eipv");
       for (std::size_t k = 0; k < open.size(); ++k) {
         const gp::MultiPosterior& post = posts[k];
-        gp::Vec mu(kNumObjectives);
-        linalg::Matrix cov(kNumObjectives, kNumObjectives);
         for (int m = 0; m < kNumObjectives; ++m) {
           mu[m] = (post.mean[m] - lo[m]) / range[m];
           for (int m2 = 0; m2 < kNumObjectives; ++m2)

@@ -534,51 +534,68 @@ gp::MultiPosterior MultiFidelitySurrogate::predict(std::size_t level,
   return post;
 }
 
-std::vector<gp::MultiPosterior> MultiFidelitySurrogate::predictBatch(
-    std::size_t level, const gp::Dataset& x) const {
+std::vector<std::vector<gp::MultiPosterior>>
+MultiFidelitySurrogate::predictChain(std::size_t top,
+                                     const gp::Dataset& x) const {
+  assert(fitted_ && top < levels_);
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<gp::MultiPosterior> out = predictBatchImpl(level, x);
+  std::vector<std::vector<gp::MultiPosterior>> chain(top + 1);
+  if (!x.empty())
+    for (std::size_t l = 0; l <= top; ++l)
+      chain[l] = predictLevelBatch(l, x, l > 0 ? &chain[l - 1] : nullptr);
   if (obs::metrics().enabled()) {
     obs::MetricsRegistry& met = obs::metrics();
     met.defineHistogram("gp.predict_batch_us",
                         obs::MetricsRegistry::defaultBounds());
     met.observe("gp.predict_batch_us", elapsedUs(t0));
   }
-  return out;
+  return chain;
 }
 
-std::vector<gp::MultiPosterior> MultiFidelitySurrogate::predictBatchImpl(
+std::vector<gp::MultiPosterior> MultiFidelitySurrogate::predictBatch(
     std::size_t level, const gp::Dataset& x) const {
-  assert(fitted_ && level < levels_);
+  return std::move(predictChain(level, x)[level]);
+}
+
+std::vector<gp::MultiPosterior> MultiFidelitySurrogate::predictLevelBatch(
+    std::size_t level, const gp::Dataset& x,
+    const std::vector<gp::MultiPosterior>* lower) const {
   std::vector<gp::MultiPosterior> out;
-  if (x.empty()) return out;
-  if (fallback_[level].active) {
-    out.reserve(x.size());
-    for (const auto& xi : x) out.push_back(predict(level, xi));
-    return out;
-  }
-
-  // Chained augmentation for the whole block: the lower level is itself
-  // evaluated batched, then its means become this level's fidelity feature.
-  gp::Dataset inputs;
-  std::vector<gp::MultiPosterior> lower;
-  if (opts_.mf == MfKind::kNonlinear && level > 0) {
-    lower = predictBatchImpl(level - 1, x);
-    inputs.reserve(x.size());
-    for (std::size_t c = 0; c < x.size(); ++c)
-      inputs.push_back(linalg::concat(x[c], lower[c].mean));
-  } else {
-    inputs = x;
-  }
-
-  if (opts_.obj == ObjModelKind::kCorrelated) {
-    out = mt_models_[level].predictBatch(inputs);
-  } else {
+  const auto diagonalShell = [&] {
     out.resize(x.size());
     for (auto& post : out) {
       post.mean.resize(m_);
       post.cov = linalg::Matrix(m_, m_);
     }
+  };
+  if (fallback_[level].active) {
+    // The fallback reads raw inputs only, exactly as predict() does.
+    const Fallback& fb = fallback_[level];
+    diagonalShell();
+    for (std::size_t mm = 0; mm < m_; ++mm) {
+      const std::vector<double> mean = fb.per_obj[mm].predictBatch(x);
+      for (std::size_t c = 0; c < x.size(); ++c) {
+        out[c].mean[mm] = mean[c];
+        out[c].cov(mm, mm) = fb.resid_var[mm];
+      }
+    }
+    return out;
+  }
+
+  // Non-linear chaining appends the level below's means to every input.
+  gp::Dataset augmented_x;
+  const bool augment = opts_.mf == MfKind::kNonlinear && level > 0;
+  if (augment) {
+    augmented_x.reserve(x.size());
+    for (std::size_t c = 0; c < x.size(); ++c)
+      augmented_x.push_back(linalg::concat(x[c], (*lower)[c].mean));
+  }
+  const gp::Dataset& inputs = augment ? augmented_x : x;
+
+  if (opts_.obj == ObjModelKind::kCorrelated) {
+    out = mt_models_[level].predictBatch(inputs);
+  } else {
+    diagonalShell();
     for (std::size_t mm = 0; mm < m_; ++mm) {
       const std::vector<gp::Posterior> col =
           ind_models_[level][mm].predictBatch(inputs);
@@ -590,14 +607,14 @@ std::vector<gp::MultiPosterior> MultiFidelitySurrogate::predictBatchImpl(
   }
 
   if (opts_.mf == MfKind::kLinear && level > 0) {
-    lower = predictBatchImpl(level - 1, x);
     for (std::size_t c = 0; c < x.size(); ++c) {
+      const gp::MultiPosterior& lo = (*lower)[c];
       for (std::size_t mm = 0; mm < m_; ++mm)
-        out[c].mean[mm] += rho_[level][mm] * lower[c].mean[mm];
+        out[c].mean[mm] += rho_[level][mm] * lo.mean[mm];
       for (std::size_t mm = 0; mm < m_; ++mm)
         for (std::size_t mp = 0; mp < m_; ++mp)
           out[c].cov(mm, mp) +=
-              rho_[level][mm] * rho_[level][mp] * lower[c].cov(mm, mp);
+              rho_[level][mm] * rho_[level][mp] * lo.cov(mm, mp);
     }
   }
   return out;

@@ -107,9 +107,15 @@ class MultiFidelitySurrogate {
   /// Joint posterior over the M objectives at fidelity `level`.
   gp::MultiPosterior predict(std::size_t level, const gp::Vec& x) const;
 
-  /// Batched posteriors at one fidelity: each level of the chain runs one
-  /// cross-Gram + one multi-RHS solve over the whole candidate block. Per
-  /// candidate bit-identical to predict().
+  /// Batched posteriors at fidelities 0..top from one bottom-up sweep:
+  /// every level is predicted once over the whole candidate block (one
+  /// cross-Gram + one multi-RHS solve per GP, or a tree-major GBRT pass on
+  /// a fallback level) and feeds the level above. Element l is, per
+  /// candidate, bit-identical to predict(l, x).
+  std::vector<std::vector<gp::MultiPosterior>> predictChain(
+      std::size_t top, const gp::Dataset& x) const;
+
+  /// Batched posteriors at one fidelity: the top of predictChain(level, x).
   std::vector<gp::MultiPosterior> predictBatch(std::size_t level,
                                                const gp::Dataset& x) const;
 
@@ -207,9 +213,11 @@ class MultiFidelitySurrogate {
   gp::Vec augmented(std::size_t level, const gp::Vec& x) const;
   /// Per-objective mean vector of the lower level at x.
   gp::Vec lowerMeans(std::size_t level, const gp::Vec& x) const;
-  /// Recursive body of predictBatch (the public wrapper times the call).
-  std::vector<gp::MultiPosterior> predictBatchImpl(std::size_t level,
-                                                   const gp::Dataset& x) const;
+  /// One level of predictChain; `lower` holds level-1's posteriors over
+  /// the same block (null at level 0).
+  std::vector<gp::MultiPosterior> predictLevelBatch(
+      std::size_t level, const gp::Dataset& x,
+      const std::vector<gp::MultiPosterior>* lower) const;
   /// This level's training inputs (chained augmentation) and targets
   /// (AR(1) residuals, updating rho_) — the shared front half of fit().
   void buildLevelTraining(std::size_t level, const FidelityObs& o,

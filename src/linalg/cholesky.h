@@ -72,10 +72,13 @@ class Cholesky {
   double jitter_ = 0.0;
 };
 
-/// Sample z ~ N(mu, A) given the Cholesky factor of A and iid standard
-/// normals `std_normals` (length = dim).
-std::vector<double> mvnSample(const std::vector<double>& mu,
-                              const Cholesky& chol,
-                              const std::vector<double>& std_normals);
+/// Sample z ~ N(mu, A) into `out` (resized to dim) given the Cholesky
+/// factor of A and iid standard normals `std_normals` (length = dim):
+/// z_i = mu_i + sum_{k <= i} L_ik n_k, the sum accumulated from 0 in
+/// ascending k. Writing into a caller buffer lets a Monte-Carlo loop reuse
+/// one sample vector.
+void mvnSample(const std::vector<double>& mu, const Cholesky& chol,
+               const std::vector<double>& std_normals,
+               std::vector<double>* out);
 
 }  // namespace cmmfo::linalg

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/acquisition.h"
 #include "pareto/cells.h"
@@ -104,6 +106,50 @@ TEST(McEipv, ThreeObjectives) {
       mcEipv({0.3, 0.3, 0.3}, cov, front, {1.0, 1.0, 1.0}, z);
   EXPECT_GT(e, 0.1);  // roughly 0.7^3 - 0.5^3
   EXPECT_LT(e, 0.35);
+}
+
+TEST(McEipv, BitsMatchPinnedDigest) {
+  // mcEipv must reproduce every bit of the allocating sampler it replaced
+  // (the digest was recorded from it), on the three paths it can take: a
+  // PD covariance, a singular one (the jitter ladder: rows 0 and 1 are
+  // equal and 0.25 = 0.5^2 makes the second pivot exactly 0) and a zero
+  // one (the point-mass shortcut).
+  const auto mix = [](std::uint64_t h, double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffULL;
+      h *= 0x100000001b3ULL;
+    }
+    return h;
+  };
+  rng::Rng rng(4242);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t m = 2; m <= 3; ++m) {
+    const auto z = drawStdNormals(32, m, rng);
+    const pareto::Point ref(m, 1.1);
+    for (int trial = 0; trial < 150; ++trial) {
+      std::vector<pareto::Point> pts(1 + rng.index(12), pareto::Point(m));
+      for (auto& p : pts)
+        for (auto& v : p) v = 0.125 * static_cast<double>(rng.uniformInt(0, 8));
+      const auto front = pareto::paretoFilter(pts);
+      gp::Vec mu(m);
+      for (auto& v : mu) v = rng.uniform(-0.2, 1.2);
+      linalg::Matrix cov(m, m);
+      if (trial % 5 == 1) {
+        cov(0, 0) = cov(0, 1) = cov(1, 0) = cov(1, 1) = 0.25;
+        if (m == 3) cov(2, 2) = 0.01;
+      } else if (trial % 5 != 2) {
+        linalg::Matrix a(m, m);
+        for (std::size_t i = 0; i < m; ++i)
+          for (std::size_t j = 0; j < m; ++j) a(i, j) = rng.normal(0.0, 0.2);
+        for (std::size_t i = 0; i < m; ++i)
+          for (std::size_t j = 0; j < m; ++j)
+            for (std::size_t k = 0; k < m; ++k) cov(i, j) += a(i, k) * a(j, k);
+      }
+      h = mix(h, mcEipv(mu, cov, front, ref, z));
+    }
+  }
+  EXPECT_EQ(h, 0xe2825500034972e2ULL) << std::hex << h;
 }
 
 TEST(ExpectedImprovement, Eq2KnownRegimes) {

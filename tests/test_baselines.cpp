@@ -100,6 +100,29 @@ TEST(Gbrt, DepthZeroIsConstantModel) {
   EXPECT_NEAR(model.predict({0.0}), model.predict({1.0}), 1e-9);
 }
 
+TEST(Gbrt, PredictBatchMatchesPredict) {
+  // Tree-major batch prediction must sum each input's trees in the same
+  // order as predict(): bitwise equal, including inputs on split
+  // thresholds and outside the training range.
+  rng::Rng rng(8);
+  Gbrt model;
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  for (int i = 0; i < 80; ++i) {
+    x.push_back({rng.uniform(), rng.uniform(), 0.25 * rng.uniformInt(0, 4)});
+    y.push_back(3.0 * x.back()[0] - x.back()[1] * x.back()[2]);
+  }
+  model.fit(x, y, rng);
+  std::vector<std::vector<double>> probes = x;
+  for (int i = 0; i < 40; ++i)
+    probes.push_back({rng.uniform(-0.5, 1.5), rng.uniform(), 0.5});
+  const std::vector<double> batch = model.predictBatch(probes);
+  ASSERT_EQ(batch.size(), probes.size());
+  for (std::size_t i = 0; i < probes.size(); ++i)
+    EXPECT_EQ(batch[i], model.predict(probes[i])) << "probe " << i;
+  EXPECT_TRUE(model.predictBatch({}).empty());
+}
+
 struct MethodsFixture {
   MethodsFixture() : ctx(bench_suite::makeSpmvCrs()) {}
   exp::BenchmarkContext ctx;

@@ -770,6 +770,23 @@ TEST(ChaosRecovery, SurrogateFallsBackToGbrtOnMleExhaustion) {
       EXPECT_GT(p.cov(mm, mm), 0.0);
     }
   }
+
+  // The scan's batched sweep serves fallback levels through the GBRT's
+  // batched predictor (and GP levels above them from its means); every
+  // level must still match scalar predict() bit for bit.
+  const gp::Dataset cand = {{0.4, 0.6}, {0.1, 0.9}, {0.75, 0.2}, {0.5, 0.5}};
+  for (std::size_t level = 0; level < 3; ++level) {
+    const std::vector<gp::MultiPosterior> batch = s.predictBatch(level, cand);
+    ASSERT_EQ(batch.size(), cand.size());
+    for (std::size_t c = 0; c < cand.size(); ++c) {
+      const gp::MultiPosterior p = s.predict(level, cand[c]);
+      for (std::size_t mm = 0; mm < 2; ++mm) {
+        EXPECT_EQ(batch[c].mean[mm], p.mean[mm]) << "level " << level;
+        for (std::size_t mp = 0; mp < 2; ++mp)
+          EXPECT_EQ(batch[c].cov(mm, mp), p.cov(mm, mp)) << "level " << level;
+      }
+    }
+  }
 }
 
 TEST(ChaosRecovery, CondBlowupForcesDenseRefitOnCommit) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "pareto/hypervolume.h"
 #include "rng/rng.h"
@@ -129,6 +131,48 @@ TEST(HypervolumeImprovement, DominatedPointIsZero) {
 
 TEST(HypervolumeImprovement, OutsideRefIsZero) {
   EXPECT_DOUBLE_EQ(hypervolumeImprovement({3.5, 0.0}, {{1, 1}}, {3, 3}), 0.0);
+}
+
+/// FNV-1a over the bit pattern of v (exact: any change in a result's bits
+/// changes the digest).
+std::uint64_t fnvMix(std::uint64_t h, double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  for (int b = 0; b < 8; ++b) {
+    h ^= (bits >> (8 * b)) & 0xffULL;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(HypervolumeImprovement, BitsMatchPinnedDigest) {
+  // The flat kernels must reproduce every bit of the vector-of-Point
+  // implementation they replaced (the digest was recorded from it). A
+  // coarse grid puts ties, duplicate points and points on the reference
+  // point (1.0) into most sets; y also takes off-grid and out-of-box values.
+  rng::Rng rng(2026);
+  const auto grid = [&rng](int lo, int hi) {
+    return 0.125 * static_cast<double>(rng.uniformInt(lo, hi));
+  };
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  int pairs = 0;
+  for (std::size_t m = 2; m <= 4; ++m) {
+    const Point ref(m, 1.0);
+    for (int trial = 0; trial < 400; ++trial) {
+      const std::size_t n = rng.index(m == 4 ? 9 : 17);
+      std::vector<Point> pts(n, Point(m));
+      for (auto& p : pts)
+        for (auto& v : p) v = grid(0, 9);
+      if (trial % 2 == 1) pts = paretoFilter(pts);
+      Point y(m);
+      for (auto& v : y)
+        v = trial % 3 == 0 ? rng.uniform(-0.1, 1.1) : grid(-1, 9);
+      h = fnvMix(h, hypervolumeImprovement(y, pts, ref));
+      h = fnvMix(h, hypervolume(pts, ref));
+      ++pairs;
+    }
+  }
+  EXPECT_GE(pairs, 1000);
+  EXPECT_EQ(h, 0x2d5c7177a7e31c16ULL) << std::hex << h;
 }
 
 TEST(ReferencePoint, BeyondAllPoints) {

@@ -562,6 +562,40 @@ TEST_P(IncrementalSurrogate, SpeculationRollsBackBitwise) {
   }
 }
 
+// One chained sweep predicts every level once, each from the level below;
+// each level of it must equal scalar predict() bit for bit, for every top
+// level (the locked-fidelity scans stop the sweep early) and after
+// appends.
+TEST_P(IncrementalSurrogate, ChainedSweepMatchesScalarPredict) {
+  rng::Rng rng(34);
+  const auto obs = surrogateObs(16, 8, 5, rng);
+  const auto extra = surrogateObs(2, 1, 1, rng);
+  MultiFidelitySurrogate s(2, 2, 3,
+                           fastSurrogate(GetParam().first, GetParam().second));
+  rng::Rng fit_rng(14);
+  s.fit(obs, fit_rng);
+  s.appendObservations(extendObs(obs, extra, {2, 1, 1}), /*commit=*/true);
+
+  gp::Dataset cand;
+  for (int c = 0; c < 11; ++c) cand.push_back({rng.uniform(), rng.uniform()});
+  for (std::size_t top = 0; top < 3; ++top) {
+    const auto chain = s.predictChain(top, cand);
+    ASSERT_EQ(chain.size(), top + 1);
+    for (std::size_t l = 0; l <= top; ++l) {
+      ASSERT_EQ(chain[l].size(), cand.size());
+      for (std::size_t c = 0; c < cand.size(); ++c) {
+        const gp::MultiPosterior p = s.predict(l, cand[c]);
+        for (std::size_t mm = 0; mm < 2; ++mm) {
+          EXPECT_EQ(chain[l][c].mean[mm], p.mean[mm]) << "level " << l;
+          for (std::size_t mp = 0; mp < 2; ++mp)
+            EXPECT_EQ(chain[l][c].cov(mm, mp), p.cov(mm, mp)) << "level " << l;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(s.predictChain(2, {}).back().empty());
+}
+
 // restorePosterior(dense base + rank-appends) must reproduce the factors an
 // uninterrupted run evolved incrementally — the checkpoint/resume contract.
 TEST_P(IncrementalSurrogate, RestorePosteriorReproducesIncrementalState) {

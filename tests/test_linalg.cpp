@@ -195,6 +195,73 @@ TEST(Cholesky, InverseIsBitwiseSolveOfIdentity) {
   }
 }
 
+/// The one-row-at-a-time column loop that Cholesky::factorize now runs four
+/// rows per pass. Fills `l` and returns the column whose pivot failed, or n.
+std::size_t columnLoopFactor(const Matrix& a, Matrix* l) {
+  const std::size_t n = a.rows();
+  *l = Matrix(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    double d = a(j, j);
+    for (std::size_t k = 0; k < j; ++k) d -= (*l)(j, k) * (*l)(j, k);
+    if (!(d > 0.0) || !std::isfinite(d)) return j;
+    const double ljj = std::sqrt(d);
+    (*l)(j, j) = ljj;
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double s = a(i, j);
+      const double* li = l->rowPtr(i);
+      const double* lj = l->rowPtr(j);
+      for (std::size_t k = 0; k < j; ++k) s -= li[k] * lj[k];
+      (*l)(i, j) = s / ljj;
+    }
+  }
+  return n;
+}
+
+Matrix leading(const Matrix& a, std::size_t k) {
+  Matrix b(k, k);
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = 0; j < k; ++j) b(i, j) = a(i, j);
+  return b;
+}
+
+std::size_t rowMismatches(const Matrix& a, const Matrix& b, std::size_t n) {
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    bad += std::memcmp(a.rowPtr(i), b.rowPtr(i), n * sizeof(double)) != 0;
+  return bad;
+}
+
+TEST(Cholesky, FactorizeBitwiseMatchesColumnLoop) {
+  // Sizes cover every remainder of the four-row blocking and the sizes
+  // around the solves' 64-column tiles.
+  for (std::size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 130, 200}) {
+    rng::Rng rng(n + 300);
+    const Matrix a = randomSpd(n, rng);
+    Matrix ref;
+    ASSERT_EQ(columnLoopFactor(a, &ref), n);
+    const auto chol = Cholesky::factorize(a);
+    ASSERT_TRUE(chol.has_value()) << "n = " << n;
+    EXPECT_EQ(rowMismatches(chol->lower(), ref, n), 0u) << "n = " << n;
+  }
+  // A zeroed pivot makes the matrix non-PD at column c. factorize() must
+  // fail there too: its leading c x c block still factorizes, bit for bit
+  // like the column loop's, and the (c+1) x (c+1) block does not.
+  for (std::size_t c : {0, 1, 5, 6, 37}) {
+    rng::Rng rng(c + 500);
+    Matrix a = randomSpd(41, rng);
+    a(c, c) = 0.0;
+    Matrix ref;
+    ASSERT_EQ(columnLoopFactor(a, &ref), c);
+    EXPECT_FALSE(Cholesky::factorize(a).has_value());
+    EXPECT_FALSE(Cholesky::factorize(leading(a, c + 1)).has_value());
+    if (c == 0) continue;
+    const auto head = Cholesky::factorize(leading(a, c));
+    ASSERT_TRUE(head.has_value()) << "c = " << c;
+    EXPECT_EQ(rowMismatches(head->lower(), leading(ref, c), c), 0u)
+        << "c = " << c;
+  }
+}
+
 TEST(Cholesky, IdentityLogDetZero) {
   const auto chol = Cholesky::factorize(Matrix::identity(4));
   ASSERT_TRUE(chol.has_value());
@@ -209,8 +276,9 @@ TEST(Cholesky, MvnSampleCovarianceMatches) {
   const std::vector<double> mu = {1.0, -1.0};
   const int n = 40000;
   double m0 = 0, m1 = 0, c00 = 0, c01 = 0, c11 = 0;
+  std::vector<double> z;
   for (int i = 0; i < n; ++i) {
-    const auto z = mvnSample(mu, *chol, {rng.normal(), rng.normal()});
+    mvnSample(mu, *chol, {rng.normal(), rng.normal()}, &z);
     m0 += z[0];
     m1 += z[1];
     c00 += (z[0] - mu[0]) * (z[0] - mu[0]);
